@@ -263,7 +263,6 @@ def backward(tape: GradTape, loss_grad: np.ndarray,
         else:
             grads[ref] = value
 
-    input_grad = None
     for entry in reversed(tape.entries):
         dout = grads.get(entry.node_id)
         if dout is None:
@@ -318,9 +317,6 @@ def backward(tape: GradTape, loss_grad: np.ndarray,
             dins = [dout, dout]
         else:
             raise TypeError(f"unknown layer {type(layer)!r}")
-        if entry.input_ids:
-            for ref, dval in zip(entry.input_ids, dins):
-                send(ref, dval)
-        else:
-            input_grad = dins[0] if input_grad is None else input_grad + dins[0]
+        for ref, dval in zip(entry.input_ids, dins):
+            send(ref, dval)
     return pgrads, m_grad

@@ -67,7 +67,6 @@ def _write_outputs(out_dir: Path, graph=None, weights=None, mask=None, report=No
 def _load_dataset(args):
     if getattr(args, "data", None):
         return load_dataset_raw(args.data)
-    c = None
     return synthetic_two_class(args.data_samples, 3, args.image_size,
                                seed=args.seed)
 

@@ -6,7 +6,7 @@ Default precision is f64; f32 exists only to emulate deployment error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -273,7 +273,3 @@ def identity_conv(channels: int, dtype=np.float64) -> ConvLayer:
     """1x1 conv whose mixing matrix is the identity."""
     weights = np.eye(channels, dtype=dtype).reshape(channels, channels, 1, 1)
     return ConvLayer(1, 1, 1, 0, 1, channels, channels, weights)
-
-
-def with_weights(conv: ConvLayer, weights: np.ndarray, bias=None) -> ConvLayer:
-    return replace(conv, weights=weights, bias=bias)

@@ -161,7 +161,7 @@ def load_graph(path) -> NetGraph:
 
 
 def save_weights(table: Dict[str, np.ndarray], path) -> None:
-    chunks = [WEIGHTS_MAGIC, struct.pack("<II", WEIGHTS_VERSION, len(table))]
+    records = []
     seen = set()
     for name, arr in table.items():
         if name in seen:
@@ -171,20 +171,22 @@ def save_weights(table: Dict[str, np.ndarray], path) -> None:
         if arr.dtype not in _DTYPE_CODES:
             raise FormatError(f"{name}: unsupported dtype {arr.dtype}")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+        header = struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                             _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
+        records.append((header, arr))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(table)))
+        for header, arr in records:
+            fh.write(header)
+            # a C-contiguous little-endian array is written as is, uncopied
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
 
 
 def load_weights(path) -> Dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(fh.read())
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal off
         if off + n > len(buf):
             raise FormatError(f"truncated weights file while reading {what}")
@@ -201,7 +203,7 @@ def load_weights(path) -> Dict[str, np.ndarray]:
     table: Dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = str(take(name_len, "name"), "utf-8")
         code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
         if code not in _CODE_DTYPES:
             raise FormatError(f"{name}: unknown dtype code {code}")
@@ -210,6 +212,7 @@ def load_weights(path) -> Dict[str, np.ndarray]:
         payload = take(int(np.prod(dims, dtype=np.int64)) * dtype.itemsize, f"payload of {name}")
         if name in table:
             raise FormatError(f"duplicate array name {name!r}")
+        # copy out of the file buffer so each array owns writable data
         table[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes after last record")

@@ -4,6 +4,9 @@ residual absorption, whole-block collapse, and numerical equivalence checks.
 Composition of two convs (cross-correlation orientation, stride-aware):
 merged kernel size d = (d2 - 1) * s1 + d1, stride s1 * s2, padding
 p1 + s1 * p2, with second-kernel taps spaced s1 apart in the merged kernel.
+A depthwise second conv composes directly, as a per-output-channel scale of
+the first kernel at each tap; the dense lift is only for average pools,
+general grouped convs and a chain that opens with a depthwise conv.
 Merging a biased conv through a zero-padded successor is interior-exact
 only; `boundary_exact` flags exactly that case.
 """
@@ -87,10 +90,18 @@ class MergedConv:
     free_activation: Optional[ActivationKind] = None
 
 
+def _is_depthwise(conv: ConvLayer) -> bool:
+    return conv.groups == conv.c_in == conv.c_out
+
+
 def compose_convs(first: ConvLayer, second: ConvLayer) -> MergedConv:
-    """Collapse conv(second) o conv(first) into one conv."""
-    if first.groups != 1 or second.groups != 1:
-        raise MergeError("compose_convs requires dense convs; lift grouped convs first")
+    """Collapse conv(second) o conv(first) into one conv.
+
+    `first` must be dense; `second` may be dense or depthwise."""
+    depthwise = _is_depthwise(second)
+    if first.groups != 1 or (second.groups != 1 and not depthwise):
+        raise MergeError("compose_convs requires a dense first conv and a dense or "
+                         "depthwise second conv; lift grouped convs first")
     if first.c_out != second.c_in:
         raise MergeError(
             f"channel mismatch: first c_out {first.c_out} != second c_in {second.c_in}"
@@ -103,15 +114,19 @@ def compose_convs(first: ConvLayer, second: ConvLayer) -> MergedConv:
     w1, w2 = first.weights, second.weights
     for p in range(d2):
         for q in range(d2):
-            merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += \
-                np.einsum("ts,srij->trij", w2[:, :, p, q], w1)
+            if depthwise:
+                tap = w2[:, 0, p, q][:, None, None, None] * w1
+            else:
+                tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
+            merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
     bias = None
     if first.bias is not None or second.bias is not None:
         bias = np.zeros(second.c_out)
         if second.bias is not None:
             bias += second.bias
         if first.bias is not None:
-            bias += np.einsum("tspq,s->t", w2, first.bias)
+            bias += (w2[:, 0].sum((1, 2)) * first.bias if depthwise
+                     else np.einsum("tspq,s->t", w2, first.bias))
     first_biased = first.bias is not None and np.any(first.bias != 0)
     conv = ConvLayer(d, d, s1 * second.stride, first.padding + s1 * second.padding,
                      1, first.c_in, second.c_out, merged, bias)
@@ -168,7 +183,9 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
                 raise MergeError("chain must not start with an average pool")
             nxt = lift_to_dense(layer, channels=acc.c_out)
         elif isinstance(layer, ConvLayer):
-            nxt = lift_to_dense(layer)
+            # compose_convs takes a depthwise conv as its second argument only
+            nxt = layer if acc is not None and _is_depthwise(layer) \
+                else lift_to_dense(layer)
         else:
             raise MergeError(f"layer {type(layer).__name__} at {nid!r} is not linear")
         if acc is None:
@@ -192,8 +209,8 @@ def block_chain(graph: NetGraph, block: BlockAnnotation) -> List[Tuple[str, obje
 
 def merge_block(graph: NetGraph, block: BlockAnnotation,
                 free_activation: Optional[ActivationKind] = None) -> MergedConv:
-    """Collapse one annotated block: fold BNs, lift the depthwise conv,
-    compose, and absorb the skip if present."""
+    """Collapse one annotated block: fold BNs, compose the convs, and absorb
+    the skip if present."""
     merged = merge_chain(block_chain(graph, block), block.has_residual)
     if block.kind == "inverted_residual":
         if merged.conv.kernel_h != block.dw_kernel:

@@ -171,6 +171,24 @@ class TestWeightsContainer:
             assert loaded[k].dtype == np.asarray(table[k]).dtype
             assert np.array_equal(loaded[k], table[k])
 
+    def test_golden_bytes(self, tmp_path):
+        table = {
+            "a": np.array([1.0, 2.0], dtype=np.float32),
+            # a non-contiguous f64 view: columns 0 and 2 of [[0,1,2],[3,4,5]]
+            "bc": np.arange(6.0).reshape(2, 3)[:, ::2],
+        }
+        path = tmp_path / "w.dswt"
+        io.save_weights(table, path)
+        expected = bytes.fromhex(
+            "44535754" "01000000" "02000000"          # magic, version 1, 2 arrays
+            "0100" "61" "00" "01" "02000000"          # "a": f32, ndim 1, (2,)
+            "0000803f" "00000040"                     # 1.0, 2.0
+            "0200" "6263" "01" "02" "02000000" "02000000"  # "bc": f64, (2, 2)
+            "0000000000000000" "0000000000000040"     # 0.0, 2.0
+            "0000000000000840" "0000000000001440"     # 3.0, 5.0
+        )
+        assert path.read_bytes() == expected
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.dswt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

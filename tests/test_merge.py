@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blockfuse.merge as merge_module
 from blockfuse.core import (
     Activation,
     ActivationKind,
@@ -93,6 +94,38 @@ class TestCompose:
         seq = execute_layer(second, execute_layer(first, x)).data
         assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
 
+    @pytest.mark.parametrize("d1,k2,s1,s2,p2,biased", [
+        (1, 3, 1, 1, 1, False), (1, 3, 1, 1, 1, True), (1, 5, 1, 2, 2, False),
+        (1, 3, 2, 2, 0, True), (3, 5, 1, 1, 0, True), (3, 3, 2, 1, 1, False),
+        (3, 5, 2, 1, 2, True),
+    ])
+    def test_compose_depthwise_second_matches_sequential(self, rng, d1, k2, s1, s2,
+                                                        p2, biased):
+        first = random_conv(rng, 3, 4, d1, stride=s1, padding=(d1 - 1) // 2,
+                            bias=biased)
+        dw = random_conv(rng, 4, 4, k2, stride=s2, padding=p2, groups=4)
+        merged = compose_convs(first, dw)
+        lifted = compose_convs(first, lift_to_dense(dw))
+        assert merged.conv.kernel_h == lifted.conv.kernel_h
+        assert merged.conv.stride == lifted.conv.stride
+        assert merged.conv.padding == lifted.conv.padding
+        assert merged.boundary_exact == lifted.boundary_exact
+        assert _max_err(merged.conv.weights, lifted.conv.weights) <= 1e-12
+        if biased:
+            assert _max_err(merged.conv.bias, lifted.conv.bias) <= 1e-12
+        else:
+            assert merged.conv.bias is None and lifted.conv.bias is None
+        x = Tensor.of(rng.standard_normal((1, 3, 13, 13)))
+        seq = execute_layer(dw, execute_layer(first, x)).data
+        got = execute_layer(merged.conv, x).data
+        # a biased first conv through a padded depthwise conv is exact away
+        # from the p2-wide border only (s2 is 1 in those cases)
+        b = 0 if merged.boundary_exact else p2
+        assert merged.boundary_exact or s2 == 1
+        h = seq.shape[2]
+        inner = (slice(None), slice(None), slice(b, h - b), slice(b, h - b))
+        assert _max_err(seq[inner], got[inner]) <= 1e-12
+
     def test_padded_successor_of_wide_conv_is_interior_exact_only(self, rng):
         first = random_conv(rng, 3, 4, 3, padding=1)
         second = random_conv(rng, 4, 5, 3, padding=1)
@@ -137,6 +170,11 @@ class TestCompose:
         with pytest.raises(MergeError):
             compose_convs(random_conv(rng, 4, 4, 3, groups=4),
                           random_conv(rng, 4, 4, 1))
+
+    def test_compose_rejects_general_grouped_second(self, rng):
+        with pytest.raises(MergeError):
+            compose_convs(random_conv(rng, 3, 4, 1),
+                          random_conv(rng, 4, 4, 3, groups=2))
 
     def test_compose_rejects_channel_mismatch(self, rng):
         with pytest.raises(MergeError):
@@ -187,6 +225,26 @@ class TestMergeChain:
         chain = [("bn", random_bn(rng, 3, biased=True)),
                  ("conv", random_conv(rng, 3, 2, 3, padding=0))]
         x = Tensor.of(rng.standard_normal((1, 3, 6, 6)))
+        seq = run_chain(chain, x).data
+        merged = merge_chain(chain, False)
+        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
+
+    def test_depthwise_is_never_lifted_after_a_conv(self, rng, monkeypatch):
+        lifted = []
+        real_lift = merge_module.lift_to_dense
+
+        def counting_lift(layer, *args, **kwargs):
+            lifted.append(layer)
+            return real_lift(layer, *args, **kwargs)
+
+        monkeypatch.setattr(merge_module, "lift_to_dense", counting_lift)
+        merge_chain(irb_chain(rng, 4, 4, 6, 3, 2), False)
+        assert [layer.groups for layer in lifted] == [1, 1]
+
+    def test_depthwise_first_chain(self, rng):
+        chain = [("dw", random_conv(rng, 4, 4, 3, groups=4)),
+                 ("pw", random_conv(rng, 4, 3, 1, padding=0))]
+        x = Tensor.of(rng.standard_normal((1, 4, 7, 7)))
         seq = run_chain(chain, x).data
         merged = merge_chain(chain, False)
         assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
