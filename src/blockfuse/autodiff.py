@@ -22,7 +22,11 @@ from .core import (
     ConvLayer,
     Flatten,
     Linear,
-    conv_out_size,
+    avgpool2d,
+    avgpool_backward,
+    conv_backward,
+    conv_forward,
+    linear,
 )
 from .errors import GraphError, ShapeError
 from .graph import NetGraph, graph_sink, topological_order
@@ -111,53 +115,6 @@ class GradTape:
     n_blocks: int
 
 
-def _conv_forward(x, w, b, layer):
-    n, c, h, w_ = x.shape
-    kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
-    oh = conv_out_size(h, kh, s, p)
-    ow = conv_out_size(w_, kw, s, p)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    out = np.zeros((n, layer.c_out, oh, ow), dtype=x.dtype)
-    cg_in = layer.c_in // layer.groups
-    cg_out = layer.c_out // layer.groups
-    for g in range(layer.groups):
-        xg = xp[:, g * cg_in : (g + 1) * cg_in]
-        wg = w[g * cg_out : (g + 1) * cg_out]
-        og = out[:, g * cg_out : (g + 1) * cg_out]
-        for i in range(kh):
-            for j in range(kw):
-                patch = xg[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
-                og += np.einsum("ncyx,oc->noyx", patch, wg[:, :, i, j])
-    if b is not None:
-        out += b[None, :, None, None]
-    return out
-
-
-def _conv_backward(dout, x, w, layer):
-    n, c, h, w_ = x.shape
-    kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
-    oh, ow = dout.shape[2], dout.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    cg_in = layer.c_in // layer.groups
-    cg_out = layer.c_out // layer.groups
-    for g in range(layer.groups):
-        xg = xp[:, g * cg_in : (g + 1) * cg_in]
-        dxg = dxp[:, g * cg_in : (g + 1) * cg_in]
-        wg = w[g * cg_out : (g + 1) * cg_out]
-        dog = dout[:, g * cg_out : (g + 1) * cg_out]
-        for i in range(kh):
-            for j in range(kw):
-                sl = np.s_[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
-                dw[g * cg_out : (g + 1) * cg_out, :, i, j] += \
-                    np.einsum("noyx,ncyx->oc", dog, xg[sl])
-                dxg[sl] += np.einsum("noyx,oc->ncyx", dog, wg[:, :, i, j])
-    dx = dxp[:, :, p : h + p, p : w_ + p] if p else dxp
-    db = dout.sum(axis=(0, 2, 3))
-    return dx, dw, db
-
-
 def _act_grad(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     if kind is ActivationKind.RELU:
         return (z > 0).astype(z.dtype)
@@ -190,7 +147,7 @@ def forward_masked(graph: NetGraph, params: Dict[str, np.ndarray],
         if isinstance(layer, ConvLayer):
             w = params.get(f"{nid}.weight", layer.weights)
             b = params.get(f"{nid}.bias", layer.bias)
-            out = _conv_forward(ins[0], w, b, layer)
+            out = conv_forward(ins[0], w, b, layer.stride, layer.padding, layer.groups)
         elif isinstance(layer, BatchNormLayer):
             gamma = params.get(f"{nid}.gamma", layer.gamma)
             beta = params.get(f"{nid}.beta", layer.beta)
@@ -206,24 +163,11 @@ def forward_masked(graph: NetGraph, params: Dict[str, np.ndarray],
             else:
                 out = layer.kind.apply(z)
         elif isinstance(layer, AvgPool):
-            k, s = layer.kernel, layer.stride
-            zin = ins[0]
-            oh = conv_out_size(zin.shape[2], k, s, 0)
-            ow = conv_out_size(zin.shape[3], k, s, 0)
-            out = np.zeros((zin.shape[0], zin.shape[1], oh, ow), dtype=zin.dtype)
-            for i in range(k):
-                for j in range(k):
-                    out += zin[:, :, i : i + s * (oh - 1) + 1 : s,
-                               j : j + s * (ow - 1) + 1 : s]
-            out /= k * k
+            out = avgpool2d(ins[0], layer)
         elif isinstance(layer, Linear):
             w = params.get(f"{nid}.weight", layer.weight)
             b = params.get(f"{nid}.bias", layer.bias)
-            flat = ins[0].reshape(ins[0].shape[0], -1)
-            out = flat @ w.T
-            if b is not None:
-                out = out + b
-            out = out.reshape(out.shape[0], -1, 1, 1)
+            out = linear(ins[0], Linear(w, b))
         elif isinstance(layer, Flatten):
             out = ins[0].reshape(ins[0].shape[0], -1, 1, 1)
         elif isinstance(layer, Add):
@@ -271,7 +215,8 @@ def backward(tape: GradTape, loss_grad: np.ndarray,
         nid = entry.node_id
         if isinstance(layer, ConvLayer):
             w = params.get(f"{nid}.weight", layer.weights)
-            dx, dw, db = _conv_backward(dout, entry.inputs[0], w, layer)
+            dx, dw, db = conv_backward(dout, entry.inputs[0], w, layer.stride,
+                                       layer.padding, layer.groups)
             accumulate(f"{nid}.weight", dw)
             if layer.bias is not None or f"{nid}.bias" in params:
                 accumulate(f"{nid}.bias", db)
@@ -294,15 +239,7 @@ def backward(tape: GradTape, loss_grad: np.ndarray,
             else:
                 dins = [dout * dact]
         elif isinstance(layer, AvgPool):
-            k, s = layer.kernel, layer.stride
-            zin = entry.inputs[0]
-            dx = np.zeros_like(zin)
-            oh, ow = dout.shape[2], dout.shape[3]
-            for i in range(k):
-                for j in range(k):
-                    dx[:, :, i : i + s * (oh - 1) + 1 : s,
-                       j : j + s * (ow - 1) + 1 : s] += dout
-            dins = [dx / (k * k)]
+            dins = [avgpool_backward(dout, entry.inputs[0].shape, layer)]
         elif isinstance(layer, Linear):
             w = params.get(f"{nid}.weight", layer.weight)
             flat = entry.inputs[0].reshape(entry.inputs[0].shape[0], -1)

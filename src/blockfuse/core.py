@@ -1,14 +1,16 @@
-"""Reference numerical kernels in (n, c, h, w) layout.
+"""Numerical kernels in (n, c, h, w) layout.
 
-Convolution is computed by direct summation (no FFT / Winograd / im2col),
-so this module is the ground-truth executor every merge is checked against.
-Default precision is f64; f32 exists only to emulate deployment error.
+Convolution is one shared forward/backward kernel pair, used by both the
+executor and autodiff. It loops over kernel taps only, never over groups;
+the brute-force `conv_oracle` in the tests is the reference it is checked
+against. Default precision is f64; f32 exists only to emulate deployment
+error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -187,30 +189,80 @@ def layer_out_dims(layer: Layer, dims: tuple) -> tuple:
     raise TypeError(f"unknown layer {type(layer)!r}")
 
 
-def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Direct-summation grouped convolution (cross-correlation orientation)."""
-    n, c, h, w = x.shape
-    if c != layer.c_in:
-        raise ShapeError(f"conv expects c_in={layer.c_in}, got {c} channels")
-    kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
-    oh = conv_out_size(h, kh, s, p)
-    ow = conv_out_size(w, kw, s, p)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    weight = layer.weights.astype(x.dtype, copy=False)
-    out = np.zeros((n, layer.c_out, oh, ow), dtype=x.dtype)
-    cg_in = layer.c_in // layer.groups
-    cg_out = layer.c_out // layer.groups
-    for g in range(layer.groups):
-        xg = xp[:, g * cg_in : (g + 1) * cg_in]
-        wg = weight[g * cg_out : (g + 1) * cg_out]
-        og = out[:, g * cg_out : (g + 1) * cg_out]
-        for i in range(kh):
-            for j in range(kw):
-                patch = xg[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
-                og += np.einsum("ncyx,oc->noyx", patch, wg[:, :, i, j])
-    if layer.bias is not None:
-        out += layer.bias.astype(x.dtype, copy=False)[None, :, None, None]
+def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
+    """(i, j, index) per kernel tap; the index selects the input positions
+    that tap reads for every output position."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, np.s_[:, :, i : i + stride * (oh - 1) + 1 : stride,
+                              j : j + stride * (ow - 1) + 1 : stride]
+
+
+def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                 stride: int, padding: int, groups: int) -> np.ndarray:
+    """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw). Dense 1x1 is one
+    matmul, depthwise one multiply-add per tap over all channels, anything else one
+    batched matmul per tap over all groups."""
+    n, c, h, wd = x.shape
+    c_out, cg_in, kh, kw = w.shape
+    oh, ow = conv_out_size(h, kh, stride, padding), conv_out_size(wd, kw, stride, padding)
+    w = w.astype(x.dtype, copy=False)
+    if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
+        out = np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, c_out, oh, ow)
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
+        if groups == c == c_out:
+            out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
+            tmp = np.empty_like(out)  # one product buffer for every tap
+            for i, j, win in _taps(kh, kw, stride, oh, ow):
+                out += np.multiply(xp[win], w[:, 0, i, j, None, None], out=tmp)
+        else:
+            wg = w.reshape(groups, c_out // groups, cg_in, kh, kw)
+            out = np.zeros((n, groups, c_out // groups, oh * ow), dtype=x.dtype)
+            for i, j, win in _taps(kh, kw, stride, oh, ow):
+                out += np.matmul(wg[..., i, j], xp[win].reshape(n, groups, cg_in, oh * ow))
+            out = out.reshape(n, c_out, oh, ow)
+    if b is not None:
+        out += b.astype(x.dtype, copy=False)[None, :, None, None]
     return out
+
+
+def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
+                  padding: int, groups: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of `conv_forward(x, w, b, ...)` given d(loss)/d(out)."""
+    n, c, h, wd = x.shape
+    c_out, cg_in, kh, kw = w.shape
+    oh, ow = dout.shape[2], dout.shape[3]
+    db = dout.sum(axis=(0, 2, 3))
+    if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
+        d = dout.reshape(n, c_out, oh * ow)
+        dw = np.tensordot(d, x.reshape(n, c, h * wd), axes=([0, 2], [0, 2]))
+        dx = np.matmul(w[:, :, 0, 0].T, d).reshape(x.shape)
+        return dx, dw.reshape(w.shape), db
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
+    dxp = np.zeros_like(xp)
+    dw = np.empty(w.shape, dtype=w.dtype)
+    if groups == c == c_out:
+        for i, j, win in _taps(kh, kw, stride, oh, ow):
+            dw[:, 0, i, j] = np.einsum("ncyx,ncyx->c", dout, xp[win])
+            dxp[win] += dout * w[:, 0, i, j, None, None]
+    else:
+        d = dout.reshape(n, groups, c_out // groups, oh * ow)
+        wg = w.reshape(groups, c_out // groups, cg_in, kh, kw)
+        dwg = dw.reshape(wg.shape)
+        for i, j, win in _taps(kh, kw, stride, oh, ow):
+            patch = xp[win].reshape(n, groups, cg_in, oh * ow)
+            dwg[..., i, j] = np.matmul(d, patch.swapaxes(-1, -2)).sum(axis=0)
+            dxp[win] += np.matmul(wg[..., i, j].swapaxes(-1, -2), d).reshape(n, c, oh, ow)
+    dx = dxp[:, :, padding : h + padding, padding : wd + padding] if padding else dxp
+    return dx, dw, db
+
+
+def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Execute one ConvLayer with `conv_forward`."""
+    if x.shape[1] != layer.c_in:
+        raise ShapeError(f"conv expects c_in={layer.c_in}, got {x.shape[1]} channels")
+    return conv_forward(x, layer.weights, layer.bias, layer.stride, layer.padding, layer.groups)
 
 
 def batchnorm(x: np.ndarray, layer: BatchNormLayer) -> np.ndarray:
@@ -221,15 +273,21 @@ def batchnorm(x: np.ndarray, layer: BatchNormLayer) -> np.ndarray:
 
 
 def avgpool2d(x: np.ndarray, layer: AvgPool) -> np.ndarray:
-    n, c, h, w = x.shape
     k, s = layer.kernel, layer.stride
-    oh = conv_out_size(h, k, s, 0)
-    ow = conv_out_size(w, k, s, 0)
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            out += x[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
+    oh, ow = conv_out_size(x.shape[2], k, s, 0), conv_out_size(x.shape[3], k, s, 0)
+    out = np.zeros(x.shape[:2] + (oh, ow), dtype=x.dtype)
+    for _, _, win in _taps(k, k, s, oh, ow):
+        out += x[win]
     return out / (k * k)
+
+
+def avgpool_backward(dout: np.ndarray, x_shape: tuple, layer: AvgPool) -> np.ndarray:
+    """d(loss)/d(x) of `avgpool2d` given d(loss)/d(out)."""
+    k = layer.kernel
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for _, _, win in _taps(k, k, layer.stride, dout.shape[2], dout.shape[3]):
+        dx[win] += dout
+    return dx / (k * k)
 
 
 def linear(x: np.ndarray, layer: Linear) -> np.ndarray:

@@ -2,18 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     Activation,
     ActivationKind,
     Add,
-    AvgPool,
     BatchNormLayer,
     ConvLayer,
-    Flatten,
     Layer,
-    Linear,
     Tensor,
     execute_layer,
     layer_out_dims,
@@ -235,12 +232,15 @@ def execute_graph(graph: NetGraph, x: Tensor) -> Tensor:
             f"input dims {x.dims} incompatible with graph input {graph.input_dims}"
         )
     order = topological_order(graph)
-    graph_sink(graph)
+    sink = graph_sink(graph).node_id
+    last_use = {ref: i for i, node in enumerate(order) for ref in node.input_ids}
     values: Dict[str, Tensor] = {}
-    for node in order:
+    for i, node in enumerate(order):
         ins = [values[ref] for ref in node.input_ids] if node.input_ids else [x]
         values[node.node_id] = execute_layer(node.layer, *ins)
-    return values[graph_sink(graph).node_id]
+        for ref in {ref for ref in node.input_ids if last_use[ref] == i}:
+            del values[ref]  # its last consumer has run
+    return values[sink]
 
 
 def apply_mask_vector(graph: NetGraph, mask) -> NetGraph:

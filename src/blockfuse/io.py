@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 from dataclasses import replace
 from typing import Dict, List
@@ -184,38 +186,38 @@ def save_weights(table: Dict[str, np.ndarray], path) -> None:
 
 def load_weights(path) -> Dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal off
-        if off + n > len(buf):
-            raise FormatError(f"truncated weights file while reading {what}")
-        out = buf[off : off + n]
-        off += n
-        return out
+        def take(n: int, what: str) -> bytearray:
+            nonlocal left
+            if n > left:  # checked before anything of that size is allocated
+                raise FormatError(f"truncated weights file while reading {what}")
+            left -= n
+            out = bytearray(n)  # writable, so arrays over it need no copy
+            fh.readinto(out)
+            return out
 
-    off = 0
-    if take(4, "magic") != WEIGHTS_MAGIC:
-        raise FormatError("bad magic; not a weights container")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"unsupported weights version {version}")
-    table: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = str(take(name_len, "name"), "utf-8")
-        code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
-        if code not in _CODE_DTYPES:
-            raise FormatError(f"{name}: unknown dtype code {code}")
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        dtype = _CODE_DTYPES[code]
-        payload = take(int(np.prod(dims, dtype=np.int64)) * dtype.itemsize, f"payload of {name}")
-        if name in table:
-            raise FormatError(f"duplicate array name {name!r}")
-        # copy out of the file buffer so each array owns writable data
-        table[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after last record")
+        if take(4, "magic") != WEIGHTS_MAGIC:
+            raise FormatError("bad magic; not a weights container")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != WEIGHTS_VERSION:
+            raise FormatError(f"unsupported weights version {version}")
+        table: Dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name = str(take(name_len, "name"), "utf-8")
+            code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
+            if code not in _CODE_DTYPES:
+                raise FormatError(f"{name}: unknown dtype code {code}")
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
+            dtype = _CODE_DTYPES[code]
+            # math.prod: a Python int, so huge dims cannot wrap around
+            payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name}")
+            if name in table:
+                raise FormatError(f"duplicate array name {name!r}")
+            table[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    if left:
+        raise FormatError(f"{left} trailing bytes after last record")
     return table
 
 

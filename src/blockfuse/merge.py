@@ -13,7 +13,7 @@ only; `boundary_exact` flags exactly that case.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core import (
     BatchNormLayer,
     ConvLayer,
     Tensor,
-    execute_layer,
 )
 from .cost import node_flops
 from .errors import MergeError, ShapeError
@@ -36,7 +35,6 @@ from .graph import (
     Node,
     apply_mask_vector,
     execute_graph,
-    topological_order,
     validate_graph,
 )
 
@@ -452,8 +450,9 @@ def verify_equivalence(g_before: NetGraph, g_after: NetGraph, n_samples: int,
             raise ShapeError(f"output dims differ: {a.shape} vs {b.shape}")
         diff = np.abs(a - b)
         max_abs = max(max_abs, float(diff.max()))
-        denom = np.maximum(np.abs(a), 1e-300)
-        max_rel = max(max_rel, float((diff / denom).max()))
+        # relative to the sample's largest output, so an exact 0 stays meaningful
+        scale = max(float(np.abs(a).max()), np.finfo(a.dtype).tiny)
+        max_rel = max(max_rel, float(diff.max()) / scale)
         h, w = a.shape[2], a.shape[3]
         bh = min(border, max(0, (h - 1) // 2))
         bw = min(border, max(0, (w - 1) // 2))

@@ -42,6 +42,21 @@ def conv_oracle(x, weights, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
+# (n, c_in, c_out, k, stride, padding, groups, bias): one case per conv kernel path
+CONV_CASES = [
+    pytest.param(2, 4, 6, 3, 1, 0, 1, False, id="1-0-1-False"),
+    pytest.param(2, 4, 6, 3, 2, 1, 1, True, id="2-1-1-True"),
+    pytest.param(2, 4, 6, 3, 1, 2, 2, True, id="1-2-2-True"),
+    pytest.param(2, 6, 6, 3, 2, 1, 6, True, id="depthwise-s2-p1"),
+    pytest.param(3, 5, 5, 5, 1, 2, 5, False, id="depthwise-k5-n3"),
+    pytest.param(2, 4, 6, 1, 1, 0, 1, True, id="pointwise-matmul"),
+    pytest.param(2, 4, 6, 1, 2, 0, 1, False, id="pointwise-s2-general"),
+    pytest.param(2, 4, 6, 1, 1, 1, 1, True, id="pointwise-p1-general"),
+    pytest.param(2, 6, 9, 3, 2, 1, 3, True, id="grouped-cg2-to-cg3"),
+    pytest.param(2, 4, 8, 3, 1, 1, 4, False, id="depthwise-multiplier-2"),
+]
+
+
 def random_conv(rng, c_in, c_out, k, stride=1, padding=None, groups=1,
                 bias=False) -> ConvLayer:
     padding = (k - 1) // 2 if padding is None else padding

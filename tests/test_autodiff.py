@@ -8,10 +8,12 @@ from blockfuse.autodiff import (
     forward_masked,
     topk_binarize,
 )
-from blockfuse.core import Tensor
+from blockfuse.core import Tensor, conv_backward, conv_forward
 from blockfuse.errors import GraphError
 from blockfuse.fixtures import toy_irb
 from blockfuse.graph import execute_graph
+
+from conftest import CONV_CASES, random_conv
 
 
 class FractionalMask(MaskState):
@@ -103,6 +105,24 @@ class TestForwardMasked:
         with pytest.raises(GraphError):
             forward_masked(graph, extract_params(graph), MaskState.fresh(3, 1),
                            np.zeros((1, 3, 8, 8)))
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    def test_backward_is_the_adjoint_of_forward(self, rng, n, c_in, c_out, k, stride,
+                                                padding, groups, bias):
+        # conv is bilinear in (x, w), so <conv(x, w), d> == <x, dx> == <w, dw>
+        x = rng.standard_normal((n, c_in, 7, 7))
+        w = random_conv(rng, c_in, c_out, k, stride, padding, groups).weights
+        y = conv_forward(x, w, None, stride, padding, groups)
+        d = rng.standard_normal(y.shape)
+        dx, dw, db = conv_backward(d, x, w, stride, padding, groups)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        inner = np.vdot(y, d)
+        tol = 1e-12 * np.linalg.norm(y) * np.linalg.norm(d)
+        assert abs(np.vdot(x, dx) - inner) <= tol
+        assert abs(np.vdot(w, dw) - inner) <= tol
+        np.testing.assert_array_equal(db, d.sum(axis=(0, 2, 3)))
 
 
 class TestParameterGradients:

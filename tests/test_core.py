@@ -18,7 +18,7 @@ from blockfuse.core import (
 )
 from blockfuse.errors import NumericError, ShapeError
 
-from conftest import conv_oracle, random_conv
+from conftest import CONV_CASES, conv_oracle, random_conv
 
 
 class TestTensor:
@@ -53,11 +53,11 @@ class TestConv:
         expected = conv_oracle(x, layer.weights, stride=1, padding=1, groups=4)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("stride,padding,groups,bias",
-                             [(1, 0, 1, False), (2, 1, 1, True), (1, 2, 2, True)])
-    def test_general_conv_matches_oracle(self, rng, stride, padding, groups, bias):
-        x = rng.standard_normal((2, 4, 7, 7))
-        layer = random_conv(rng, 4, 6, 3, stride=stride, padding=padding,
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    def test_general_conv_matches_oracle(self, rng, n, c_in, c_out, k, stride, padding,
+                                         groups, bias):
+        x = rng.standard_normal((n, c_in, 7, 7))
+        layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups, bias=bias)
         out = execute_layer(layer, Tensor.of(x))
         expected = conv_oracle(x, layer.weights, layer.bias, stride, padding, groups)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,15 @@ class TestWeightsContainer:
         path = tmp_path / "w.dswt"
         io.save_weights({"a.weight": rng.standard_normal((4, 4))}, path)
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="truncated"):
+            io.load_weights(path)
+
+    def test_dims_larger_than_the_file(self, tmp_path):
+        # 2**93 elements: rejected as truncated, before any allocation or overflow
+        header = io.WEIGHTS_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"a" + \
+            struct.pack("<BB3I", 1, 3, 2**31, 2**31, 2**31)
+        path = tmp_path / "w.dswt"
+        path.write_bytes(header + bytes(16))
         with pytest.raises(FormatError, match="truncated"):
             io.load_weights(path)
 

@@ -6,11 +6,12 @@ from blockfuse.core import (
     Activation,
     ActivationKind,
     AvgPool,
+    ConvLayer,
     Tensor,
     execute_layer,
 )
 from blockfuse.errors import MergeError
-from blockfuse.graph import execute_graph, validate_graph
+from blockfuse.graph import NetGraph, Node, execute_graph, validate_graph
 from blockfuse.merge import (
     absorb_residual,
     bn_to_conv,
@@ -326,6 +327,23 @@ class TestVerifyEquivalence:
         b = irb_graph(rng, 3, 3, 2, 3, 1, residual=False)  # fresh weights
         rep = verify_equivalence(a, b, 2, 1e-10, seed=0)
         assert not rep.passed and rep.max_abs_err > 1e-3
+
+    def test_relative_error_with_an_exact_zero_output(self, rng):
+        # channel 0 is exactly 0 before and about 1e-17 after; the relative
+        # error is taken against the largest output, not that element
+        w = rng.standard_normal((2, 3, 1, 1))
+        w[0] = 0.0
+        w_after = w.copy()
+        w_after[0] = 1e-17
+
+        def one_conv(weights):
+            conv = ConvLayer(1, 1, 1, 0, 1, 3, 2, weights)
+            return NetGraph((Node("conv", conv, ()),), (1, 3, 4, 4))
+
+        rep = verify_equivalence(one_conv(w), one_conv(w_after), 2, 1e-12, seed=0)
+        assert rep.passed
+        assert 0 < rep.max_abs_err <= 1e-15
+        assert rep.max_rel_err <= 1e-15
 
     def test_border_exclusion(self, rng):
         g = irb_graph(rng, 3, 3, 2, 3, 1, residual=False, biased=True)
