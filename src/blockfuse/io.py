@@ -63,9 +63,18 @@ def _layer_to_json(layer: Layer) -> tuple:
     raise TypeError(f"unknown layer {type(layer)!r}")
 
 
+def _check_at_least(params: dict, keys, low: int, path: str) -> None:
+    for key in keys:
+        if params[key] < low:
+            raise FormatError(f"bad params at {path}: {key} must be >= {low}, "
+                              f"got {params[key]!r}")
+
+
 def _layer_from_json(op: str, params: dict, path: str) -> Layer:
     try:
         if op == "conv":
+            _check_at_least(params, ("kernel_h", "kernel_w", "stride", "groups"), 1, path)
+            _check_at_least(params, ("padding",), 0, path)
             c_out = params["c_out"]
             shape = (c_out, params["c_in"] // params["groups"],
                      params["kernel_h"], params["kernel_w"])
@@ -82,6 +91,7 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
         if op == "act":
             return Activation(ActivationKind(params["kind"]))
         if op == "avgpool":
+            _check_at_least(params, ("kernel", "stride"), 1, path)
             return AvgPool(params["kernel"], params["stride"])
         if op == "linear":
             shape = (params["out_features"], params["in_features"])

@@ -42,7 +42,8 @@ def conv_oracle(x, weights, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
-# (n, c_in, c_out, k, stride, padding, groups, bias): one case per conv kernel path
+# (n, c_in, c_out, k, stride, padding, groups, bias): one case per conv kernel path;
+# k is an int, or (kh, kw) for a non-square kernel
 CONV_CASES = [
     pytest.param(2, 4, 6, 3, 1, 0, 1, False, id="1-0-1-False"),
     pytest.param(2, 4, 6, 3, 2, 1, 1, True, id="2-1-1-True"),
@@ -54,15 +55,18 @@ CONV_CASES = [
     pytest.param(2, 4, 6, 1, 1, 1, 1, True, id="pointwise-p1-general"),
     pytest.param(2, 6, 9, 3, 2, 1, 3, True, id="grouped-cg2-to-cg3"),
     pytest.param(2, 4, 8, 3, 1, 1, 4, False, id="depthwise-multiplier-2"),
+    pytest.param(2, 6, 6, (3, 1), 2, 1, 6, True, id="depthwise-3x1-s2-p1"),
 ]
 
 
 def random_conv(rng, c_in, c_out, k, stride=1, padding=None, groups=1,
                 bias=False) -> ConvLayer:
-    padding = (k - 1) // 2 if padding is None else padding
-    w = rng.standard_normal((c_out, c_in // groups, k, k)) / np.sqrt(c_in * k * k)
+    """k is the kernel size, or (kh, kw) for a non-square kernel."""
+    kh, kw = (k, k) if isinstance(k, int) else k
+    padding = (kh - 1) // 2 if padding is None else padding
+    w = rng.standard_normal((c_out, c_in // groups, kh, kw)) / np.sqrt(c_in * kh * kw)
     b = rng.standard_normal(c_out) if bias else None
-    return ConvLayer(k, k, stride, padding, groups, c_in, c_out, w, b)
+    return ConvLayer(kh, kw, stride, padding, groups, c_in, c_out, w, b)
 
 
 def random_bn(rng, c, biased=False) -> BatchNormLayer:

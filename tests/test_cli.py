@@ -136,6 +136,23 @@ class TestErrorHandling:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("node_id,key,value", [
+        ("b0_dw", "groups", 0), ("b0_dw", "stride", 0), ("b0_dw", "kernel_h", 0),
+        ("b0_dw", "kernel_w", 0), ("b0_dw", "padding", -1),
+        ("pool", "kernel", 0), ("pool", "stride", 0),
+    ])
+    def test_bad_layer_params_exit_1(self, tmp_path, capsys, node_id, key, value):
+        out = _gen(tmp_path)
+        doc = json.loads((out / "graph.json").read_text())
+        node = next(n for n in doc["nodes"] if n["id"] == node_id)
+        node["params"][key] = value
+        (out / "graph.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["cost", "--graph", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert key in err["message"]
+
     def test_bad_mask_file_exits_1(self, tmp_path, capsys):
         out = _gen(tmp_path)
         bad = tmp_path / "mask.json"

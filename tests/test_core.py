@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockfuse import core
 from blockfuse.core import (
     Activation,
     ActivationKind,
@@ -12,6 +13,7 @@ from blockfuse.core import (
     ConvLayer,
     Linear,
     Tensor,
+    conv2d,
     conv_out_size,
     execute_layer,
     identity_conv,
@@ -91,6 +93,47 @@ class TestConv:
         assert out.precision == "f32"
 
 
+DEPTHWISE_CASES = [p for p in CONV_CASES if p.values[1] == p.values[2] == p.values[6]]
+
+
+def _small_blocks(monkeypatch, x, padding):
+    """Shrink the depthwise block budget so the n*c rows of x run in several blocks,
+    the last one partial."""
+    n, c, h, w = x.shape
+    rows = n * c
+    block = next(b for b in range(2, rows) if rows % b)
+    monkeypatch.setattr(core, "_DW_BLOCK_BYTES",
+                        block * (h + 2 * padding) * (w + 2 * padding) * x.itemsize)
+
+
+class TestDepthwiseBlocking:
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", DEPTHWISE_CASES)
+    def test_small_blocks_match_default_and_oracle(self, rng, monkeypatch, n, c_in, c_out,
+                                                   k, stride, padding, groups, bias):
+        x = rng.standard_normal((n, c_in, 7, 7))
+        x_before = x.copy()
+        layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
+                            groups=groups, bias=bias)
+        default = conv2d(x, layer)
+        _small_blocks(monkeypatch, x, padding)
+        blocked = conv2d(x, layer)
+        assert np.array_equal(blocked, default)
+        expected = conv_oracle(x, layer.weights, layer.bias, stride, padding, groups)
+        assert np.max(np.abs(blocked - expected)) <= 1e-12
+        np.testing.assert_array_equal(x, x_before)
+
+    def test_f32_input_gives_f32_output(self, rng, monkeypatch):
+        x = rng.standard_normal((2, 6, 7, 7)).astype(np.float32)
+        x_before = x.copy()
+        layer = random_conv(rng, 6, 6, 3, stride=2, padding=1, groups=6, bias=True)
+        _small_blocks(monkeypatch, x, 1)
+        out = conv2d(x, layer)
+        assert out.dtype == np.float32
+        expected = conv_oracle(x.astype(np.float64), layer.weights, layer.bias, 2, 1, 6)
+        assert np.max(np.abs(out - expected)) <= 1e-5
+        np.testing.assert_array_equal(x, x_before)
+
+
 class TestOtherLayers:
     def test_relu6_clamps(self):
         x = Tensor.of(np.array([-1.0, 3.0, 9.0]).reshape(1, 1, 1, 3))
@@ -111,6 +154,19 @@ class TestOtherLayers:
         x = Tensor.of(np.full((1, 1, 1, 1), 5.0))
         out = execute_layer(bn, x)
         assert out.data.ravel()[0] == pytest.approx((5 - 3) / np.sqrt(4 + eps) * 2 + 1)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_batchnorm_equals_scale_shift_bit_for_bit(self, rng, precision):
+        c = 5
+        bn = BatchNormLayer(0.7 + rng.random(c), rng.standard_normal(c),
+                            rng.standard_normal(c), 0.5 + rng.random(c))
+        x = Tensor.of(rng.standard_normal((2, c, 4, 3)), precision=precision)
+        x_before = x.data.copy()
+        scale, shift = (v.astype(x.data.dtype)[None, :, None, None] for v in bn.scale_shift())
+        out = execute_layer(bn, x)
+        assert out.precision == precision
+        assert np.array_equal(out.data, x.data * scale + shift)
+        np.testing.assert_array_equal(x.data, x_before)
 
     def test_batchnorm_invariants(self):
         with pytest.raises(ShapeError):
