@@ -43,9 +43,7 @@ from .cost import (
     CostReport,
     cost_report,
     flops_matched_dense,
-    flops_of_graph,
     latency_decay_weights,
-    memory_footprint,
 )
 from .train import (
     TrainConfig,

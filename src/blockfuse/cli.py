@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .autodiff import MaskState, extract_params
+from .autodiff import extract_params
 from .core import ActivationKind
-from .cost import cost_report, flops_of_graph
+from .cost import cost_report
 from .errors import BlockfuseError
 from .expand import expand_for_training
 from .fixtures import generate
-from .graph import apply_mask_vector, validate_graph
+from .graph import apply_mask_vector
 from .merge import insert_free_activations, shrink_graph, verify_equivalence
 from .train import (
     TrainConfig,
@@ -170,7 +170,7 @@ def _cmd_gen_fixture(args) -> int:
     _write_outputs(out, graph=graph, weights=weights)
     for label, mask in masks.items():
         io.save_mask(mask, out / f"mask_{label}.json")
-    report = flops_of_graph(graph)
+    report = cost_report(graph)
     print(f"fixture {args.name}: {len(graph.nodes)} nodes, "
           f"{len(graph.blocks)} blocks, {report.total_flops / 1e9:.4f} GFLOPs")
     return 0
@@ -230,10 +230,8 @@ def _cmd_search(args) -> int:
     state, ranked, params = search_masks(graph, extract_params(graph), dataset,
                                          latency, cfg, args.k, log=log)
     out = Path(args.out)
-    weights = dict(io.weights_of_graph(graph))
-    weights.update(params)
     mask = [int(v) for v in state.m_hat]
-    _write_outputs(out, graph=graph, weights=weights, mask=mask,
+    _write_outputs(out, graph=graph, weights=params, mask=mask,
                    report={"scores": state.m.tolist(), "k": state.k,
                            "ranked_for_removal": ranked})
     write_log(log, out / "log.jsonl")
@@ -260,10 +258,8 @@ def _cmd_finetune(args) -> int:
                       teacher=teacher, log=log,
                       frozen=frozen_shift_params(student, mask))
     out = Path(args.out)
-    weights = dict(io.weights_of_graph(student))
-    weights.update(params)
     acc = accuracy(student, params, dataset)
-    _write_outputs(out, graph=student, weights=weights, mask=mask,
+    _write_outputs(out, graph=student, weights=params, mask=mask,
                    report={"train_accuracy": acc})
     write_log(log, out / "log.jsonl")
     print(f"fine-tuned {cfg.epochs} epochs; train accuracy {acc:.3f}")

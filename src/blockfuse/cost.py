@@ -6,14 +6,13 @@ as zero. This reproduces the usual "0.33 G for MobileNetV2" magnitude.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import AvgPool, BatchNormLayer, ConvLayer, Linear
+from .core import BatchNormLayer, ConvLayer, Linear
 from .errors import GraphError
 from .graph import BlockAnnotation, LatencyTable, NetGraph, validate_graph
 
@@ -126,14 +125,6 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
     total_lat = sum(lat.values()) if lat is not None else None
     return CostReport(precision_bits, blocks, total_flops,
                       int(total_weights * pbytes), total_peak, total_lat)
-
-
-def flops_of_graph(graph: NetGraph, latency: Optional[LatencyTable] = None) -> CostReport:
-    return cost_report(graph, precision_bits=16, latency=latency)
-
-
-def memory_footprint(graph: NetGraph, precision_bits: int) -> CostReport:
-    return cost_report(graph, precision_bits=precision_bits)
 
 
 @dataclass(frozen=True)

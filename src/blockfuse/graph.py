@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     Activation,
@@ -118,11 +118,6 @@ def _check_block(graph: NetGraph, block: BlockAnnotation, index: Dict[str, Node]
                  consumers: Dict[str, List[str]], nested_ids: set) -> None:
     bid = block.block_id
     members = set(block.node_ids)
-    if not block.node_ids:
-        raise GraphError(f"block {bid}: empty node list")
-    for nid in block.node_ids:
-        if nid not in index:
-            raise GraphError(f"block {bid}: unknown node {nid!r}")
     chain = [nid for nid in block.node_ids if not isinstance(index[nid].layer, Add)]
     add_ids = [nid for nid in block.node_ids if isinstance(index[nid].layer, Add)]
     if len(add_ids) > 1:
@@ -203,6 +198,12 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
         except ShapeError as exc:
             raise GraphError(f"shape conflict at node {node.node_id!r}: {exc}") from exc
 
+    for block in graph.blocks:
+        if not block.node_ids:
+            raise GraphError(f"block {block.block_id}: empty node list")
+        for nid in block.node_ids:
+            if nid not in index:
+                raise GraphError(f"block {block.block_id}: unknown node {nid!r}")
     # block_ids must be 0..B-1 in network (topological) order
     position = {n.node_id: i for i, n in enumerate(order)}
     # ties (a nested block sharing its entry with the containing block) rank
@@ -225,19 +226,31 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
     return shapes
 
 
-def execute_graph(graph: NetGraph, x: Tensor) -> Tensor:
-    """Evaluate the graph in topological order; nodes with no inputs read the graph input."""
+def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] = None,
+                  tape: Optional[list] = None) -> Tensor:
+    """Evaluate the graph in topological order; nodes with no inputs read the graph input.
+
+    An activation whose id is in `gates` outputs g * act(z) + (1 - g) * z. With a
+    `tape` list, each node appends (node, inputs, output), so every value is kept;
+    without one, each value is freed after its last consumer."""
     if x.dims[1:] != tuple(graph.input_dims)[1:]:
         raise ShapeError(
             f"input dims {x.dims} incompatible with graph input {graph.input_dims}"
         )
+    gates = gates or {}
     order = topological_order(graph)
     sink = graph_sink(graph).node_id
     last_use = {ref: i for i, node in enumerate(order) for ref in node.input_ids}
     values: Dict[str, Tensor] = {}
     for i, node in enumerate(order):
         ins = [values[ref] for ref in node.input_ids] if node.input_ids else [x]
-        values[node.node_id] = execute_layer(node.layer, *ins)
+        out = execute_layer(node.layer, *ins)
+        if node.node_id in gates:
+            g = gates[node.node_id]
+            out = Tensor(g * out.data + (1.0 - g) * ins[0].data)
+        values[node.node_id] = out
+        if tape is not None:
+            tape.append((node, ins, out))  # keeps every value alive
         for ref in {ref for ref in node.input_ids if last_use[ref] == i}:
             del values[ref]  # its last consumer has run
     return values[sink]

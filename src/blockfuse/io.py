@@ -121,6 +121,20 @@ def graph_to_json(graph: NetGraph) -> dict:
             "nodes": nodes, "blocks": blocks, "metadata": dict(graph.metadata)}
 
 
+def _typed(value, kind: type, path: str):
+    """`value` if it is a `kind`, else a FormatError naming `path`."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _node_ids(value, path: str) -> tuple:
+    """A JSON array of node-id strings, as a tuple."""
+    for i, nid in enumerate(_typed(value, list, path)):
+        _typed(nid, str, f"{path}[{i}]")
+    return tuple(value)
+
+
 def graph_from_json(doc: dict) -> NetGraph:
     if not isinstance(doc, dict):
         raise FormatError("$: graph document must be a JSON object")
@@ -133,26 +147,30 @@ def graph_from_json(doc: dict) -> NetGraph:
     if len(input_dims) != 4:
         raise FormatError("$.input_dims: must have 4 entries")
     nodes = []
-    for i, rec in enumerate(doc.get("nodes", [])):
+    for i, rec in enumerate(_typed(doc.get("nodes", []), list, "$.nodes")):
         path = f"$.nodes[{i}]"
+        _typed(rec, dict, path)
         try:
             layer = _layer_from_json(rec["op"], rec.get("params", {}), path)
-            nodes.append(Node(rec["id"], layer, tuple(rec.get("inputs", []))))
+            nodes.append(Node(_typed(rec["id"], str, f"{path}.id"), layer,
+                              _node_ids(rec.get("inputs", []), f"{path}.inputs")))
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc}") from exc
     blocks = []
-    for i, rec in enumerate(doc.get("blocks", [])):
+    for i, rec in enumerate(_typed(doc.get("blocks", []), list, "$.blocks")):
         path = f"$.blocks[{i}]"
         try:
             blocks.append(BlockAnnotation(
-                int(rec["block_id"]), rec["kind"], tuple(rec["node_ids"]),
+                int(rec["block_id"]), rec["kind"],
+                _node_ids(rec["node_ids"], f"{path}.node_ids"),
                 float(rec["expand_ratio"]), int(rec["dw_kernel"]), int(rec["stride"]),
-                bool(rec["has_residual"]), tuple(rec["act_node_ids"]),
+                bool(rec["has_residual"]),
+                _node_ids(rec["act_node_ids"], f"{path}.act_node_ids"),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     return NetGraph(tuple(nodes), input_dims, tuple(blocks),
-                    dict(doc.get("metadata", {})))
+                    dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
 
 
 def save_graph(graph: NetGraph, path) -> None:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, pi
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .autodiff import GradTape, MaskState, backward, extract_params, forward_masked
+from .autodiff import MaskState, backward, forward_masked
 from .errors import FormatError, GraphError, ShapeError
 from .graph import LatencyTable, NetGraph
 
@@ -198,7 +198,7 @@ def search_masks(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Datas
             lr = cosine_lr(cfg.lr, step, total_steps)
             out, tape = forward_masked(graph, params, state, xb)
             loss, dlogits = cross_entropy(_logits(out), yb, cfg.label_smoothing)
-            pgrads, m_grad = backward(tape, dlogits.reshape(out.shape), params)
+            pgrads, m_grad = backward(tape, dlogits.reshape(out.shape))
             opt.step(params, pgrads, lr)
             decay_term = float(cfg.decay_strength * np.sum(state.lam * np.abs(state.m)))
             # straight-through update of m plus latency-weighted L1 decay
@@ -267,7 +267,7 @@ def finetune(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Dataset,
                     logits, _logits(t_out), cfg.distill_temperature)
                 loss += cfg.distill_alpha * kd_loss
                 dlogits = dlogits + cfg.distill_alpha * kd_grad
-            pgrads, _ = backward(tape, dlogits.reshape(out.shape), params)
+            pgrads, _ = backward(tape, dlogits.reshape(out.shape))
             if frozen:
                 pgrads = {k: v for k, v in pgrads.items() if k not in frozen}
             opt.step(params, pgrads, lr)

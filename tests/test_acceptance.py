@@ -4,7 +4,7 @@ import pytest
 
 from blockfuse.autodiff import MaskState, backward, extract_params, forward_masked
 from blockfuse.core import ActivationKind, ConvLayer, Tensor, execute_layer
-from blockfuse.cost import cost_report, flops_matched_dense, flops_of_graph
+from blockfuse.cost import cost_report, flops_matched_dense
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import MBV2_14_MASKS, mobilenet_v2, toy_irb, vgg_toy
 from blockfuse.graph import LatencyTable, apply_mask_vector, validate_graph
@@ -141,8 +141,7 @@ def test_criterion_5_gradient_correctness():
         return float(np.sum(out * lw)), tape
 
     _, tape = loss(params, None)
-    pgrads, _ = backward(tape, np.broadcast_to(lw, tape.entries[-1].output.shape),
-                         params)
+    pgrads, _ = backward(tape, np.broadcast_to(lw, tape.entries[-1].output.shape))
     h = 1e-6
     worst = 0.0
     for name, grad in pgrads.items():
@@ -158,12 +157,10 @@ def test_criterion_5_gradient_correctness():
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
     binary = MaskState(np.array([3.0, 1.0, 2.0, 0.5]), 2, np.ones(4))
     _, tape_b = loss(params, binary)
-    _, grad_b = backward(tape_b, np.broadcast_to(lw, tape_b.entries[-1].output.shape),
-                         params)
+    _, grad_b = backward(tape_b, np.broadcast_to(lw, tape_b.entries[-1].output.shape))
     frac = FractionalMask(binary.m_hat.copy(), 2, np.ones(4))
     _, tape_f = loss(params, frac)
-    _, grad_f = backward(tape_f, np.broadcast_to(lw, tape_f.entries[-1].output.shape),
-                         params)
+    _, grad_f = backward(tape_f, np.broadcast_to(lw, tape_f.entries[-1].output.shape))
     ste_exact = np.array_equal(grad_b, grad_f)
     ok = worst <= 1e-5 and ste_exact
     _report(5, "all parameter gradients match finite differences; "
@@ -218,8 +215,8 @@ def test_criterion_7_end_to_end_pipeline():
 
 
 def test_criterion_8_flops_reproduction(mbv2, mbv2_14):
-    g1 = flops_of_graph(mbv2).total_flops / 1e9
-    g14 = flops_of_graph(mbv2_14).total_flops / 1e6
+    g1 = cost_report(mbv2).total_flops / 1e9
+    g14 = cost_report(mbv2_14).total_flops / 1e6
     fixtures_ok = abs(g1 - 0.33) / 0.33 <= 0.10 and abs(g14 - 630) / 630 <= 0.10
     rng = np.random.Generator(np.random.PCG64(108))
     worst = 0.0

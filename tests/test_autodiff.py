@@ -9,8 +9,8 @@ from blockfuse.autodiff import (
     topk_binarize,
 )
 from blockfuse.core import Tensor, conv_backward, conv_forward
-from blockfuse.errors import GraphError
-from blockfuse.fixtures import toy_irb
+from blockfuse.errors import GraphError, NumericError, ShapeError
+from blockfuse.fixtures import mobilenet_v2, toy_irb
 from blockfuse.graph import execute_graph
 
 from conftest import CONV_CASES, random_conv
@@ -81,13 +81,12 @@ class TestMaskState:
 
 class TestForwardMasked:
     def test_all_ones_mask_matches_plain_execution(self):
-        graph = toy_irb(2, seed=1)
-        params = extract_params(graph)
         rng = np.random.Generator(np.random.PCG64(0))
-        x = rng.standard_normal((1, 3, 8, 8))
-        out, _ = forward_masked(graph, params, MaskState.fresh(2, 2), x)
-        want = execute_graph(graph, Tensor.of(x)).data
-        assert np.max(np.abs(out - want.reshape(out.shape))) <= 1e-12
+        for graph in (toy_irb(2, seed=1), mobilenet_v2(1.0, image_size=32, seed=1)):
+            x = rng.standard_normal((2,) + tuple(graph.input_dims[1:]))
+            state = MaskState.fresh(len(graph.blocks), len(graph.blocks))
+            out, _ = forward_masked(graph, extract_params(graph), state, x)
+            assert np.array_equal(out, execute_graph(graph, Tensor.of(x)).data)
 
     def test_zero_gate_bypasses_activation(self):
         graph = toy_irb(1, seed=1)
@@ -99,6 +98,18 @@ class TestForwardMasked:
         linear = apply_mask_vector(graph, [0])
         want = execute_graph(linear, Tensor.of(x)).data
         assert np.max(np.abs(masked_out - want.reshape(masked_out.shape))) <= 1e-12
+
+    def test_wrong_channel_input_is_a_shape_error(self):
+        graph = toy_irb(1, seed=1)
+        with pytest.raises(ShapeError):
+            forward_masked(graph, extract_params(graph), None, np.zeros((1, 4, 8, 8)))
+
+    def test_non_finite_input_is_a_numeric_error(self):
+        graph = toy_irb(1, seed=1)
+        x = np.zeros((1, 3, 8, 8))
+        x[0, 1, 2, 3] = np.nan
+        with pytest.raises(NumericError):
+            forward_masked(graph, extract_params(graph), None, x)
 
     def test_mask_length_check(self):
         graph = toy_irb(2, seed=1)
@@ -129,7 +140,7 @@ class TestParameterGradients:
     def test_finite_difference_agreement(self):
         graph, params, x, lw = _scalar_loss_setup()
         _, tape = _loss(graph, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output), params)
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
         h = 1e-6
         rng = np.random.Generator(np.random.PCG64(3))
         for name, grad in pgrads.items():
@@ -146,11 +157,18 @@ class TestParameterGradients:
                 assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-4), \
                     f"{name}{idx}: analytic {a} vs fd {fd}"
 
+    def test_bn_statistics_get_no_gradients(self):
+        graph, params, x, lw = _scalar_loss_setup()
+        _, tape = _loss(graph, params, None, x, lw)
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        trainable = {k for k in params if not k.endswith((".mean", ".var"))}
+        assert set(pgrads) == trainable != set(params)
+
     def test_gradients_accumulate_over_residual_paths(self):
         # the stem output feeds both the block chain and the skip Add
         graph, params, x, lw = _scalar_loss_setup(n_blocks=1)
         _, tape = _loss(graph, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output), params)
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
         assert "stem_conv.weight" in pgrads
         assert np.all(np.isfinite(pgrads["stem_conv.weight"]))
 
@@ -160,7 +178,7 @@ class TestMaskGradients:
         graph, params, x, lw = _scalar_loss_setup(n_blocks=3)
         state = FractionalMask(np.array([0.8, 0.4, 0.6]), 3, np.ones(3))
         _, tape = _loss(graph, params, state, x, lw)
-        _, m_grad = backward(tape, lw * np.ones_like(tape.entries[-1].output), params)
+        _, m_grad = backward(tape, lw * np.ones_like(tape.entries[-1].output))
         h = 1e-6
         for b in range(3):
             m = state.m.copy()
@@ -177,12 +195,10 @@ class TestMaskGradients:
         graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
         binary = MaskState(np.array([2.0, 1.0]), 1, np.ones(2))
         _, tape_b = _loss(graph, params, binary, x, lw)
-        _, grad_binary = backward(tape_b, lw * np.ones_like(tape_b.entries[-1].output),
-                                  params)
+        _, grad_binary = backward(tape_b, lw * np.ones_like(tape_b.entries[-1].output))
         frac = FractionalMask(binary.m_hat.copy(), 1, np.ones(2))
         _, tape_f = _loss(graph, params, frac, x, lw)
-        _, grad_frac = backward(tape_f, lw * np.ones_like(tape_f.entries[-1].output),
-                                params)
+        _, grad_frac = backward(tape_f, lw * np.ones_like(tape_f.entries[-1].output))
         np.testing.assert_array_equal(grad_binary, grad_frac)
 
     def test_shared_slot_accumulates_both_activations(self):

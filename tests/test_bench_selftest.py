@@ -1,0 +1,13 @@
+"""The benchmark's self-test runs against the current package, so a change
+that removes or re-signatures a function the benchmark wraps fails here."""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_selftest_passes():
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -153,6 +153,29 @@ class TestErrorHandling:
         assert err["error"] == "FormatError"
         assert key in err["message"]
 
+    @pytest.mark.parametrize("mutate,error,where", [
+        (lambda doc: doc.update(nodes=5), "FormatError", "$.nodes"),
+        (lambda doc: doc["nodes"].__setitem__(1, ["b0_pw1"]), "FormatError", "$.nodes[1]"),
+        (lambda doc: doc["nodes"][1].update(id=["b0_pw1"]), "FormatError", "$.nodes[1].id"),
+        (lambda doc: doc["nodes"][1].update(inputs="stem_act"), "FormatError",
+         "$.nodes[1].inputs"),
+        (lambda doc: doc.update(metadata=["fixture"]), "FormatError", "$.metadata"),
+        (lambda doc: doc["blocks"][0].update(node_ids=[]), "GraphError", "empty node list"),
+        (lambda doc: doc["blocks"][0]["node_ids"].__setitem__(0, "no_such_node"),
+         "GraphError", "unknown node 'no_such_node'"),
+    ], ids=["nodes-int", "node-list", "id-list", "inputs-str", "metadata-list",
+            "block-empty", "block-unknown-first"])
+    def test_malformed_graph_exits_1(self, tmp_path, capsys, mutate, error, where):
+        out = _gen(tmp_path)
+        doc = json.loads((out / "graph.json").read_text())
+        mutate(doc)
+        (out / "graph.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["cost", "--graph", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert where in err["message"]
+
     def test_bad_mask_file_exits_1(self, tmp_path, capsys):
         out = _gen(tmp_path)
         bad = tmp_path / "mask.json"

@@ -6,9 +6,7 @@ from blockfuse.cost import (
     block_flops,
     cost_report,
     flops_matched_dense,
-    flops_of_graph,
     latency_decay_weights,
-    memory_footprint,
     node_flops,
 )
 from blockfuse.errors import GraphError
@@ -53,8 +51,8 @@ class TestCostReport:
 
     def test_precision_scales_bytes(self):
         g = toy_irb(1, seed=0)
-        r16 = memory_footprint(g, 16)
-        r32 = memory_footprint(g, 32)
+        r16 = cost_report(g, precision_bits=16)
+        r32 = cost_report(g, precision_bits=32)
         assert r32.total_weight_bytes == 2 * r16.total_weight_bytes
         assert r32.blocks[0].peak_activation_bytes == \
             2 * r16.blocks[0].peak_activation_bytes
