@@ -27,7 +27,6 @@ from .graph import (
 )
 from .merge import (
     EquivalenceReport,
-    MergedConv,
     ShrinkReport,
     absorb_residual,
     compose_convs,

@@ -30,8 +30,7 @@ from .core import (
     avgpool_backward,
     conv_backward,
 )
-from .errors import GraphError
-from .graph import NetGraph, Node, execute_graph, graph_sink
+from .graph import NetGraph, Node, checked_mask, execute_graph, graph_sink
 from .io import bind_weights, weights_of_graph
 
 
@@ -108,11 +107,8 @@ def forward_masked(graph: NetGraph, params: Dict[str, np.ndarray],
     """Run `execute_graph` with `params` bound and gated block activations,
     recording a tape."""
     n_blocks = len(graph.blocks)
-    if mask_state is not None and len(mask_state.m) != n_blocks:
-        raise GraphError(
-            f"mask has {len(mask_state.m)} entries for {n_blocks} blocks"
-        )
-    m_hat = mask_state.m_hat if mask_state is not None else np.ones(n_blocks)
+    m_hat = np.ones(n_blocks) if mask_state is None \
+        else checked_mask(graph, mask_state.m_hat)
     slots = {aid: b.block_id for b in graph.blocks for aid in b.act_node_ids}
     gates = {aid: float(m_hat[slot]) for aid, slot in slots.items()}
     bound = bind_weights(graph, params)
@@ -158,8 +154,8 @@ def backward(tape: GradTape, loss_grad: np.ndarray
             dx, dw, db = conv_backward(dout, entry.inputs[0], layer.weights, layer.stride,
                                        layer.padding, layer.groups)
             accumulate(f"{nid}.weight", dw)
-            if layer.bias is not None:
-                accumulate(f"{nid}.bias", db)
+            if layer.bias is not None:  # a bias map gets a per-position gradient
+                accumulate(f"{nid}.bias", db if layer.bias.ndim == 1 else dout.sum(axis=0))
             dins = [dx]
         elif isinstance(layer, BatchNormLayer):
             inv_std = 1.0 / np.sqrt(layer.running_var + layer.epsilon)

@@ -27,7 +27,6 @@ from .train import (
     TrainConfig,
     accuracy,
     finetune,
-    frozen_shift_params,
     load_dataset_raw,
     search_masks,
     synthetic_two_class,
@@ -112,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--after-weights")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--border", type=int, default=0)
-    p.add_argument("--allow-boundary", action="store_true",
-                   help="pass on interior error alone (biased merges)")
     p.add_argument("--out")
     _add_common(p)
 
@@ -196,8 +192,7 @@ def _cmd_shrink(args) -> int:
     _write_outputs(Path(args.out), graph=shrunk, weights=io.weights_of_graph(shrunk),
                    mask=mask, report=report.to_json())
     merged = sum(1 for r in report.records if r.merged)
-    print(f"merged {merged}/{len(report.records)} blocks; "
-          f"boundary-exact: {report.all_boundary_exact}")
+    print(f"merged {merged}/{len(report.records)} blocks")
     return 0
 
 
@@ -205,8 +200,6 @@ def _cmd_verify(args) -> int:
     before = _resolve(args.before, args.before_weights)
     after = _resolve(args.after, args.after_weights)
     report = verify_equivalence(before, after, args.samples, args.tol, args.seed,
-                                border=args.border,
-                                require_full=not args.allow_boundary,
                                 precision=args.precision)
     print(json.dumps(report.to_json()))
     if args.out:
@@ -255,8 +248,7 @@ def _cmd_finetune(args) -> int:
     teacher = (graph, extract_params(graph)) if args.distill else None
     log: list = []
     params = finetune(student, extract_params(student), dataset, cfg,
-                      teacher=teacher, log=log,
-                      frozen=frozen_shift_params(student, mask))
+                      teacher=teacher, log=log)
     out = Path(args.out)
     acc = accuracy(student, params, dataset)
     _write_outputs(out, graph=student, weights=params, mask=mask,

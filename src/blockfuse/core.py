@@ -73,7 +73,9 @@ class ConvLayer:
     c_in: int
     c_out: int
     weights: np.ndarray  # (c_out, c_in // groups, kernel_h, kernel_w)
-    bias: Optional[np.ndarray] = None  # (c_out,)
+    # (c_out,), or (c_out, oh, ow) for a per-position bias map; the map fixes
+    # the output size, so `layer_out_dims` checks it
+    bias: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.c_in % self.groups or self.c_out % self.groups:
@@ -83,8 +85,10 @@ class ConvLayer:
         expected = (self.c_out, self.c_in // self.groups, self.kernel_h, self.kernel_w)
         if tuple(self.weights.shape) != expected:
             raise ShapeError(f"conv weights shape {self.weights.shape} != {expected}")
-        if self.bias is not None and self.bias.shape != (self.c_out,):
-            raise ShapeError(f"conv bias shape {self.bias.shape} != ({self.c_out},)")
+        if self.bias is not None and (self.bias.shape[:1] != (self.c_out,)
+                                      or self.bias.ndim not in (1, 3)):
+            raise ShapeError(f"conv bias shape {self.bias.shape} is neither "
+                             f"({self.c_out},) nor ({self.c_out}, oh, ow)")
 
     @property
     def is_depthwise(self) -> bool:
@@ -168,6 +172,8 @@ def layer_out_dims(layer: Layer, dims: tuple) -> tuple:
             raise ShapeError(f"conv expects c_in={layer.c_in}, got {c} channels")
         oh = conv_out_size(h, layer.kernel_h, layer.stride, layer.padding)
         ow = conv_out_size(w, layer.kernel_w, layer.stride, layer.padding)
+        if layer.bias is not None and layer.bias.shape[1:] not in ((), (oh, ow)):
+            raise ShapeError(f"conv bias map {layer.bias.shape[1:]} != output {(oh, ow)}")
         return (n, layer.c_out, oh, ow)
     if isinstance(layer, BatchNormLayer):
         if c != layer.channels:
@@ -235,9 +241,10 @@ def _depthwise_forward(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                  stride: int, padding: int, groups: int) -> np.ndarray:
-    """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw). Dense 1x1 is one
-    matmul, depthwise a channel-blocked multiply-add over all taps (`_depthwise_forward`),
-    anything else one batched matmul per tap over all groups."""
+    """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw), plus a (c_out,)
+    bias or a (c_out, oh, ow) bias map. Dense 1x1 is one matmul, depthwise a
+    channel-blocked multiply-add over all taps (`_depthwise_forward`), anything else
+    one batched matmul per tap over all groups."""
     n, c, h, wd = x.shape
     c_out, cg_in, kh, kw = w.shape
     oh, ow = conv_out_size(h, kh, stride, padding), conv_out_size(wd, kw, stride, padding)
@@ -254,7 +261,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
             out += np.matmul(wg[..., i, j], xp[win].reshape(n, groups, cg_in, oh * ow))
         out = out.reshape(n, c_out, oh, ow)
     if b is not None:
-        out += b.astype(x.dtype, copy=False)[None, :, None, None]
+        b = b.astype(x.dtype, copy=False)
+        out += b[None, :, None, None] if b.ndim == 1 else b[None]
     return out
 
 
@@ -358,9 +366,3 @@ def execute_layer(layer: Layer, *inputs: Tensor) -> Tensor:
         n, c, h, w = x.shape
         return Tensor(x.reshape(n, c * h * w, 1, 1))
     raise TypeError(f"unknown layer {type(layer)!r}")
-
-
-def identity_conv(channels: int, dtype=np.float64) -> ConvLayer:
-    """1x1 conv whose mixing matrix is the identity."""
-    weights = np.eye(channels, dtype=dtype).reshape(channels, channels, 1, 1)
-    return ConvLayer(1, 1, 1, 0, 1, channels, channels, weights)

@@ -8,14 +8,15 @@ Rules:
     first pointwise conv of every other block (even block index) becomes a
     nested IRB(e=6, k=1).
 
-New convs are bias-free and new BNs fold to zero bias, so merging the new
-blocks (with Identity activations) is exact and recovers the original
-per-layer architecture.
+New convs are bias-free and new BNs are identities. With Identity
+activations each new block merges (exactly, as every block does) into one
+conv with the replaced layer's kernel, stride and channels, so shrinking the
+new blocks recovers the original per-layer architecture.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

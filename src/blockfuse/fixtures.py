@@ -1,9 +1,10 @@
 """Fixture networks with seeded random weights: the MobileNetV2 family
 (topology-faithful), small toy IRB stacks, and a VGG-like conv chain.
 
-Fixture BNs are initialized with beta = mean = 0 so they fold into the
-preceding conv with exactly zero bias, keeping whole-graph merges exact at
-every output position; gamma/var still exercise the scaling path.
+Fixture BNs start with beta = mean = 0, as a freshly initialized network's
+do, so merged fixture blocks get exactly zero biases; gamma/var exercise the
+scaling path. Merges are exact with any shifts, and the tests set nonzero
+ones where they need them.
 """
 from __future__ import annotations
 

@@ -256,13 +256,17 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
     return values[sink]
 
 
-def apply_mask_vector(graph: NetGraph, mask) -> NetGraph:
-    """Replace both activations of every mask-0 block with Identity."""
+def checked_mask(graph: NetGraph, mask) -> list:
+    """`mask` as a list, after checking that it has one entry per block."""
     mask = list(mask)
     if len(mask) != len(graph.blocks):
-        raise GraphError(
-            f"mask length {len(mask)} != block count {len(graph.blocks)}"
-        )
+        raise GraphError(f"mask length {len(mask)} != block count {len(graph.blocks)}")
+    return mask
+
+
+def apply_mask_vector(graph: NetGraph, mask) -> NetGraph:
+    """Replace both activations of every mask-0 block with Identity."""
+    mask = checked_mask(graph, mask)
     off = set()
     for block, bit in zip(sorted(graph.blocks, key=lambda b: b.block_id), mask):
         if bit not in (0, 1):

@@ -31,7 +31,7 @@ from .core import (
 from .errors import FormatError, GraphError
 from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, validate_graph
 
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2  # 2 adds conv "bias_hw"; version 1 files still load
 WEIGHTS_MAGIC = b"DSWT"
 WEIGHTS_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -40,12 +40,15 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 def _layer_to_json(layer: Layer) -> tuple:
     if isinstance(layer, ConvLayer):
-        return "conv", {
+        params = {
             "kernel_h": layer.kernel_h, "kernel_w": layer.kernel_w,
             "stride": layer.stride, "padding": layer.padding,
             "groups": layer.groups, "c_in": layer.c_in, "c_out": layer.c_out,
             "has_bias": layer.bias is not None,
         }
+        if layer.bias is not None and layer.bias.ndim == 3:
+            params["bias_hw"] = list(layer.bias.shape[1:])
+        return "conv", params
     if isinstance(layer, BatchNormLayer):
         return "bn", {"channels": layer.channels, "epsilon": layer.epsilon}
     if isinstance(layer, Activation):
@@ -78,11 +81,17 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
             c_out = params["c_out"]
             shape = (c_out, params["c_in"] // params["groups"],
                      params["kernel_h"], params["kernel_w"])
+            hw = params.get("bias_hw")
+            if hw is not None and not (
+                    params.get("has_bias") and isinstance(hw, list) and len(hw) == 2
+                    and all(type(v) is int and v >= 1 for v in hw)):
+                raise FormatError(f"bad params at {path}: bias_hw must be two integers "
+                                  f">= 1 on a conv with has_bias, got {hw!r}")
             return ConvLayer(
                 params["kernel_h"], params["kernel_w"], params["stride"],
                 params["padding"], params["groups"], params["c_in"], c_out,
                 weights=np.zeros(shape),
-                bias=np.zeros(c_out) if params.get("has_bias") else None,
+                bias=np.zeros((c_out, *(hw or ()))) if params.get("has_bias") else None,
             )
         if op == "bn":
             c = params["channels"]
@@ -138,8 +147,9 @@ def _node_ids(value, path: str) -> tuple:
 def graph_from_json(doc: dict) -> NetGraph:
     if not isinstance(doc, dict):
         raise FormatError("$: graph document must be a JSON object")
-    if doc.get("version") != GRAPH_VERSION:
-        raise FormatError(f"$.version: expected {GRAPH_VERSION}, got {doc.get('version')!r}")
+    if doc.get("version") not in (1, GRAPH_VERSION):
+        raise FormatError(f"$.version: expected 1 or {GRAPH_VERSION}, "
+                          f"got {doc.get('version')!r}")
     try:
         input_dims = tuple(int(v) for v in doc["input_dims"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -281,7 +291,7 @@ def bind_weights(graph: NetGraph, table: Dict[str, np.ndarray]) -> NetGraph:
             layer = replace(
                 layer,
                 weights=_pick(table, n.node_id, "weight", layer.weights.shape),
-                bias=(_pick(table, n.node_id, "bias", (layer.c_out,))
+                bias=(_pick(table, n.node_id, "bias", layer.bias.shape)
                       if layer.bias is not None else None),
             )
         elif isinstance(layer, Linear):

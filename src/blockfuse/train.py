@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import MaskState, backward, forward_masked
 from .errors import FormatError, GraphError, ShapeError
-from .graph import LatencyTable, NetGraph
+from .graph import LatencyTable, NetGraph, checked_mask
 
 
 @dataclass
@@ -213,17 +213,13 @@ def search_masks(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Datas
 
 
 def frozen_shift_params(graph: NetGraph, mask) -> frozenset:
-    """Names of the BN shift (beta) parameters inside mask-0 blocks.
-
-    Those blocks are fully linear after masking and will be collapsed into a
-    single dense conv; freezing their shift parameters keeps the folded bias
-    at exactly zero, so the collapse is exact at every output position
-    instead of interior-only."""
+    """Names of the BN shift (beta) parameters inside mask-0 blocks, for
+    `finetune(frozen=...)`. Merges are exact with any shift, so freezing is a
+    training choice only: it keeps the merged blocks' biases where they
+    started."""
     from .core import BatchNormLayer  # local import keeps module deps one-way
 
-    mask = list(mask)
-    if len(mask) != len(graph.blocks):
-        raise GraphError(f"mask length {len(mask)} != block count {len(graph.blocks)}")
+    mask = checked_mask(graph, mask)
     index = graph.node_index
     names = set()
     for block in sorted(graph.blocks, key=lambda b: b.block_id):

@@ -9,7 +9,6 @@ from blockfuse.core import (
     ConvLayer,
     Tensor,
     execute_layer,
-    identity_conv,
 )
 from blockfuse.graph import BlockAnnotation, NetGraph, Node
 
@@ -57,6 +56,12 @@ CONV_CASES = [
     pytest.param(2, 4, 8, 3, 1, 1, 4, False, id="depthwise-multiplier-2"),
     pytest.param(2, 6, 6, (3, 1), 2, 1, 6, True, id="depthwise-3x1-s2-p1"),
 ]
+
+
+def identity_conv(channels: int, dtype=np.float64) -> ConvLayer:
+    """1x1 conv whose mixing matrix is the identity."""
+    weights = np.eye(channels, dtype=dtype).reshape(channels, channels, 1, 1)
+    return ConvLayer(1, 1, 1, 0, 1, channels, channels, weights)
 
 
 def random_conv(rng, c_in, c_out, k, stride=1, padding=None, groups=1,

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from blockfuse import io
 from blockfuse.autodiff import MaskState, backward, extract_params, forward_masked
-from blockfuse.core import ActivationKind, ConvLayer, Tensor, execute_layer
+from blockfuse.cli import run
+from blockfuse.core import ConvLayer, Tensor, execute_layer
 from blockfuse.cost import cost_report, flops_matched_dense
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import MBV2_14_MASKS, mobilenet_v2, toy_irb, vgg_toy
@@ -19,7 +21,6 @@ from blockfuse.train import (
     TrainConfig,
     accuracy,
     finetune,
-    frozen_shift_params,
     search_masks,
     synthetic_two_class,
 )
@@ -62,35 +63,27 @@ def test_criterion_1_merge_exactness_zero_bias():
         chain = irb_chain(rng, c, c, spec["e"], spec["k"], spec["s"])
         x = Tensor.of(rng.standard_normal((1, c, 9, 9)))
         seq = run_chain(chain, x, residual=residual).data
-        merged = merge_chain(chain, residual)
-        got = execute_layer(merged.conv, x).data
+        merged = merge_chain(chain, residual, x.dims)
+        got = execute_layer(merged, x).data
         worst = max(worst, float(np.max(np.abs(seq - got))))
     _report(1, "zero-bias block merges exact at every position",
             worst <= 1e-10, f"max abs err {worst:.3e} over 100 blocks")
 
 
-def test_criterion_2_interior_exactness_biased():
+def test_criterion_2_merge_exactness_biased():
     rng = np.random.Generator(np.random.PCG64(102))
-    worst_interior = 0.0
-    worst_full = 0.0
-    flags_ok = True
+    worst = 0.0
     for _ in range(100):
         spec = _random_block_spec(rng)
         c = spec["c_in"]
+        residual = bool(rng.integers(0, 2)) and spec["s"] == 1
         chain = irb_chain(rng, c, c, spec["e"], spec["k"], spec["s"], biased=True)
         x = Tensor.of(rng.standard_normal((1, c, 11, 11)))
-        seq = run_chain(chain, x).data
-        merged = merge_chain(chain, False)
-        flags_ok = flags_ok and not merged.boundary_exact
-        got = execute_layer(merged.conv, x).data
-        full = float(np.max(np.abs(seq - got)))
-        worst_full = max(worst_full, full)
-        b = -(-(merged.conv.kernel_h - 1) // 2)  # ceil((d-1)/2)
-        inner = np.abs(seq - got)[:, :, b:-b, b:-b]
-        worst_interior = max(worst_interior, float(inner.max()))
-    ok = worst_interior <= 1e-12 and flags_ok and np.isfinite(worst_full)
-    _report(2, "biased block merges interior-exact with boundary flagged",
-            ok, f"interior {worst_interior:.3e}, full {worst_full:.3e}")
+        seq = run_chain(chain, x, residual=residual).data
+        got = execute_layer(merge_chain(chain, residual, x.dims), x).data
+        worst = max(worst, float(np.max(np.abs(seq - got))))
+    _report(2, "biased block merges exact at every position",
+            worst <= 1e-10, f"max abs err {worst:.3e} over 100 blocks")
 
 
 def test_criterion_3_kernel_and_stride_law():
@@ -101,7 +94,7 @@ def test_criterion_3_kernel_and_stride_law():
             for s1 in (1, 2):
                 for s2 in (1, 2):
                     m = compose_convs(random_conv(rng, 2, 2, d1, stride=s1),
-                                      random_conv(rng, 2, 2, d2, stride=s2)).conv
+                                      random_conv(rng, 2, 2, d2, stride=s2))
                     ok = ok and m.kernel_h == (d2 - 1) * s1 + d1
                     ok = ok and m.stride == s1 * s2
                     if s1 == 1:
@@ -114,7 +107,7 @@ def test_criterion_4_channel_law():
     ok = True
     for e in (1, 2, 4, 6):
         chain = irb_chain(rng, 5, 3, e, 3, 1)
-        conv = merge_chain(chain, False).conv
+        conv = merge_chain(chain, False, (1, 5, 9, 9))
         ok = ok and conv.c_in == 5 and conv.c_out == 3
     _report(4, "merged channels equal block (c_in, c_out) for all expand ratios",
             ok)
@@ -182,7 +175,7 @@ def test_criterion_6_planted_latency_search():
                "every step", ok, f"removal ranking {ranked}")
 
 
-def test_criterion_7_end_to_end_pipeline():
+def test_criterion_7_end_to_end_pipeline(tmp_path):
     graph = toy_irb(4, seed=1)
     data = synthetic_two_class(64, 3, 8, seed=2)
     weights = extract_params(graph)
@@ -193,23 +186,22 @@ def test_criterion_7_end_to_end_pipeline():
 
     student = apply_mask_vector(graph, mask)
     with_acts = insert_free_activations(student, mask)
-    # reset the shift parameters of to-be-merged blocks to zero and freeze
-    # them: zero fold bias keeps the later collapse exact everywhere
-    frozen = frozen_shift_params(student, mask)
-    searched = dict(searched)
-    for name in frozen:
-        searched[name] = np.zeros_like(searched[name])
     ft_cfg = TrainConfig(epochs=60, batch_size=16, lr=0.05, seed=0)
-    params = finetune(with_acts, searched, data, ft_cfg, frozen=frozen)
+    params = finetune(with_acts, searched, data, ft_cfg)
     acc = accuracy(with_acts, params, data)
 
-    from blockfuse import io
     table = dict(io.weights_of_graph(student))
     table.update(params)
     student_bound = io.bind_weights(student, table)
     shrunk, _ = shrink_graph(student_bound, mask)
-    rep = verify_equivalence(student_bound, shrunk, 4, 1e-8, seed=3)
-    ok = acc >= 0.95 and rep.passed
+    rep = verify_equivalence(student_bound, shrunk, 4, 1e-10, seed=3)
+    for name, net in (("before", student_bound), ("after", shrunk)):
+        (tmp_path / name).mkdir()
+        io.save_graph(net, tmp_path / name / "graph.json")
+        io.save_weights(io.weights_of_graph(net), tmp_path / name / "weights.dswt")
+    cli_ok = run(["verify", "--before", str(tmp_path / "before"),
+                  "--after", str(tmp_path / "after"), "--tol", "1e-10"]) == 0
+    ok = acc >= 0.95 and rep.passed and cli_ok
     _report(7, "search -> fine-tune -> shrink -> verify on toy data",
             ok, f"accuracy {acc:.3f}, max abs err {rep.max_abs_err:.3e}")
 

@@ -12,6 +12,8 @@ from blockfuse.core import Tensor, conv_backward, conv_forward
 from blockfuse.errors import GraphError, NumericError, ShapeError
 from blockfuse.fixtures import mobilenet_v2, toy_irb
 from blockfuse.graph import execute_graph
+from blockfuse.io import bind_weights
+from blockfuse.merge import shrink_graph
 
 from conftest import CONV_CASES, random_conv
 
@@ -156,6 +158,28 @@ class TestParameterGradients:
                 a = float(grad[idx])
                 assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-4), \
                     f"{name}{idx}: analytic {a} vs fd {fd}"
+
+    def test_bias_map_gradient_matches_finite_differences(self):
+        # BN shifts ahead of the padded depthwise conv give the merged block a
+        # (c, h, w) bias map, which finetuning a shrunk graph trains per position
+        graph, params, x, lw = _scalar_loss_setup()
+        shrunk, _ = shrink_graph(bind_weights(graph, params), [0, 1])
+        params = extract_params(shrunk)
+        _, tape = _loss(shrunk, params, None, x, lw)
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        grad = pgrads["block0_merged.bias"]
+        assert grad.shape == params["block0_merged.bias"].shape == (6, 6, 6)
+        h = 1e-6
+        for idx in np.ndindex(grad.shape):
+            p = {k: v.copy() for k, v in params.items()}
+            p["block0_merged.bias"][idx] += h
+            up, _ = _loss(shrunk, p, None, x, lw)
+            p["block0_merged.bias"][idx] -= 2 * h
+            down, _ = _loss(shrunk, p, None, x, lw)
+            fd = (up - down) / (2 * h)
+            a = float(grad[idx])
+            assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-4), \
+                f"bias{idx}: analytic {a} vs fd {fd}"
 
     def test_bn_statistics_get_no_gradients(self):
         graph, params, x, lw = _scalar_loss_setup()

@@ -13,6 +13,21 @@ def _gen(tmp_path, name="toy-irb-2", seed=0):
     return out
 
 
+def _bias_map_net(tmp_path):
+    """toy-irb-2 with a BN shift set ahead of block 0's padded depthwise conv,
+    shrunk with mask [0, 1]: the merged conv carries an (8, 8, 8) bias map."""
+    out = _gen(tmp_path)
+    table = io.load_weights(out / "weights.dswt")
+    table["b0_bn1.beta"] = table["b0_bn1.beta"] + 0.5
+    io.save_weights(table, out / "weights.dswt")
+    mask = tmp_path / "mask.json"
+    io.save_mask([0, 1], mask)
+    shrunk = tmp_path / "shrunk"
+    assert run(["shrink", "--graph", str(out), "--mask", str(mask),
+                "--out", str(shrunk)]) == 0
+    return shrunk
+
+
 class TestGenFixture:
     def test_writes_graph_and_weights(self, tmp_path, capsys):
         out = _gen(tmp_path)
@@ -110,6 +125,26 @@ class TestSearchFinetune:
         assert 0.0 <= doc["train_accuracy"] <= 1.0
 
 
+    def test_finetune_trains_merged_blocks_shifts(self, tmp_path):
+        # nothing is frozen: the to-be-merged block's BN shifts train, and the
+        # merge of the result is still exact
+        out = _gen(tmp_path)
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 1], mask)
+        res = tmp_path / "ft"
+        assert run(["finetune", "--graph", str(out), "--mask", str(mask),
+                    "--epochs", "1", "--data-samples", "16", "--out", str(res)]) == 0
+        before = io.load_weights(out / "weights.dswt")
+        after = io.load_weights(res / "weights.dswt")
+        for bn in ("b0_bn1", "b0_bn2", "b0_bn3"):
+            assert not np.array_equal(before[f"{bn}.beta"], after[f"{bn}.beta"])
+        shrunk = tmp_path / "shrunk"
+        assert run(["shrink", "--graph", str(res), "--mask", str(mask),
+                    "--out", str(shrunk)]) == 0
+        assert run(["verify", "--before", str(res), "--after", str(shrunk),
+                    "--tol", "1e-10"]) == 0
+
+
 class TestExpand:
     def test_expand_vgg_adds_blocks(self, tmp_path, capsys):
         out = _gen(tmp_path, name="vgg-toy")
@@ -175,6 +210,48 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
         assert where in err["message"]
+
+    @pytest.mark.parametrize("flags", [["--border", "1"], ["--allow-boundary"]])
+    def test_removed_verify_flags_exit_2(self, tmp_path, flags):
+        out = _gen(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--before", str(out), "--after", str(out)] + flags)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("mutate,error,where", [
+        (lambda p: p.update(bias_hw=[8]), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=[8, 8, 8]), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=[8, 2.5]), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=[8, "8"]), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=[0, 8]), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=8), "FormatError", "bias_hw"),
+        (lambda p: p.update(has_bias=False), "FormatError", "bias_hw"),
+        (lambda p: p.update(bias_hw=[7, 8]), "GraphError", "bias map"),
+    ], ids=["short", "long", "float", "string", "zero", "int", "no-bias", "wrong-dims"])
+    def test_malformed_bias_map_exits_1(self, tmp_path, capsys, mutate, error, where):
+        shrunk = _bias_map_net(tmp_path)
+        doc = json.loads((shrunk / "graph.json").read_text())
+        node = next(n for n in doc["nodes"] if n["id"] == "block0_merged")
+        assert node["params"]["bias_hw"] == [8, 8]
+        mutate(node["params"])
+        (shrunk / "graph.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["cost", "--graph", str(shrunk)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert where in err["message"]
+
+    def test_weights_bias_of_the_wrong_map_shape_exits_1(self, tmp_path, capsys):
+        shrunk = _bias_map_net(tmp_path)
+        assert run(["cost", "--graph", str(shrunk)]) == 0
+        table = io.load_weights(shrunk / "weights.dswt")
+        table["block0_merged.bias"] = np.zeros((8, 7, 8))
+        io.save_weights(table, shrunk / "weights.dswt")
+        capsys.readouterr()
+        assert run(["cost", "--graph", str(shrunk)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GraphError"
+        assert "block0_merged.bias" in err["message"]
 
     def test_bad_mask_file_exits_1(self, tmp_path, capsys):
         out = _gen(tmp_path)

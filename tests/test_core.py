@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,11 @@ from blockfuse.core import (
     conv2d,
     conv_out_size,
     execute_layer,
-    identity_conv,
+    layer_out_dims,
 )
 from blockfuse.errors import NumericError, ShapeError
 
-from conftest import CONV_CASES, conv_oracle, random_conv
+from conftest import CONV_CASES, conv_oracle, identity_conv, random_conv
 
 
 class TestTensor:
@@ -86,6 +88,29 @@ class TestConv:
             ConvLayer(3, 3, 1, 1, 1, 2, 2, np.zeros((2, 2, 3, 4)))
         with pytest.raises(ShapeError):
             ConvLayer(3, 3, 1, 1, 3, 2, 2, np.zeros((2, 1, 3, 3)))
+
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    def test_bias_map_matches_oracle_plus_map(self, rng, n, c_in, c_out, k, stride,
+                                              padding, groups, bias):
+        x = rng.standard_normal((n, c_in, 7, 7))
+        layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
+                            groups=groups)
+        oh, ow = layer_out_dims(layer, x.shape)[2:]
+        bias_map = rng.standard_normal((c_out, oh, ow))
+        mapped = replace(layer, bias=bias_map)
+        assert layer_out_dims(mapped, x.shape) == (n, c_out, oh, ow)
+        out = execute_layer(mapped, Tensor.of(x)).data
+        expected = conv_oracle(x, layer.weights, None, stride, padding, groups) + bias_map
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_bias_map_shape_checks(self, rng):
+        layer = random_conv(rng, 2, 3, 3)
+        with pytest.raises(ShapeError, match="bias"):
+            replace(layer, bias=np.zeros((3, 5)))
+        with pytest.raises(ShapeError, match="bias"):
+            replace(layer, bias=np.zeros((2, 5, 5)))
+        with pytest.raises(ShapeError, match="bias map"):
+            layer_out_dims(replace(layer, bias=np.zeros((3, 4, 5))), (1, 2, 5, 5))
 
     def test_f32_mode(self, rng):
         x = Tensor.of(rng.standard_normal((1, 2, 4, 4)), precision="f32")

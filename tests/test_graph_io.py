@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -10,7 +11,6 @@ from blockfuse.core import (
     Add,
     ConvLayer,
     Tensor,
-    identity_conv,
 )
 from blockfuse.errors import FormatError, GraphError
 from blockfuse.fixtures import toy_irb, vgg_toy
@@ -25,8 +25,9 @@ from blockfuse.graph import (
     topological_order,
     validate_graph,
 )
+from blockfuse.merge import shrink_graph
 
-from conftest import irb_graph, random_conv
+from conftest import identity_conv, irb_graph, random_conv
 
 
 class TestGraphStructure:
@@ -135,6 +136,32 @@ class TestGraphJson:
         doc["version"] = 99
         with pytest.raises(FormatError, match=r"\$\.version"):
             io.graph_from_json(doc)
+
+    def test_version_1_loads_and_3_is_rejected(self):
+        doc = io.graph_to_json(toy_irb(1, seed=0))
+        assert doc["version"] == 2
+        doc["version"] = 1
+        assert io.graph_to_json(io.graph_from_json(doc)) == {**doc, "version": 2}
+        doc["version"] = 3
+        with pytest.raises(FormatError, match=r"\$\.version"):
+            io.graph_from_json(doc)
+
+    def test_bias_map_round_trip(self, tmp_path, rng):
+        shrunk, _ = shrink_graph(irb_graph(rng, 3, 3, 2, 3, 1, residual=False,
+                                           biased=True), [0])
+        io.save_graph(shrunk, tmp_path / "graph.json")
+        io.save_weights(io.weights_of_graph(shrunk), tmp_path / "weights.dswt")
+        doc = json.loads((tmp_path / "graph.json").read_text())
+        node = next(n for n in doc["nodes"] if n["id"] == "block0_merged")
+        assert node["params"]["bias_hw"] == [9, 9]
+        loaded = io.bind_weights(io.load_graph(tmp_path / "graph.json"),
+                                 io.load_weights(tmp_path / "weights.dswt"))
+        bias = loaded.node("block0_merged").layer.bias
+        np.testing.assert_array_equal(bias, shrunk.node("block0_merged").layer.bias)
+        assert bias.shape == (3, 9, 9)
+        x = Tensor.of(rng.standard_normal(shrunk.input_dims))
+        np.testing.assert_array_equal(execute_graph(shrunk, x).data,
+                                      execute_graph(loaded, x).data)
 
     def test_bad_node_reports_json_path(self):
         doc = io.graph_to_json(toy_irb(1, seed=0))

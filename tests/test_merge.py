@@ -10,7 +10,7 @@ from blockfuse.core import (
     Tensor,
     execute_layer,
 )
-from blockfuse.errors import MergeError
+from blockfuse.errors import GraphError, MergeError
 from blockfuse.graph import NetGraph, Node, execute_graph, validate_graph
 from blockfuse.merge import (
     absorb_residual,
@@ -90,10 +90,9 @@ class TestCompose:
         first = random_conv(rng, 3, 4, d1, stride=s1, padding=(d1 - 1) // 2)
         second = random_conv(rng, 4, 5, d2, stride=s2, padding=p2)
         merged = compose_convs(first, second)
-        assert merged.boundary_exact
         x = Tensor.of(rng.standard_normal((1, 3, 12, 12)))
         seq = execute_layer(second, execute_layer(first, x)).data
-        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
+        assert _max_err(seq, execute_layer(merged, x).data) <= 1e-12
 
     @pytest.mark.parametrize("d1,k2,s1,s2,p2,biased", [
         (1, 3, 1, 1, 1, False), (1, 3, 1, 1, 1, True), (1, 5, 1, 2, 2, False),
@@ -107,34 +106,34 @@ class TestCompose:
         dw = random_conv(rng, 4, 4, k2, stride=s2, padding=p2, groups=4)
         merged = compose_convs(first, dw)
         lifted = compose_convs(first, lift_to_dense(dw))
-        assert merged.conv.kernel_h == lifted.conv.kernel_h
-        assert merged.conv.stride == lifted.conv.stride
-        assert merged.conv.padding == lifted.conv.padding
-        assert merged.boundary_exact == lifted.boundary_exact
-        assert _max_err(merged.conv.weights, lifted.conv.weights) <= 1e-12
-        if biased:
-            assert _max_err(merged.conv.bias, lifted.conv.bias) <= 1e-12
-        else:
-            assert merged.conv.bias is None and lifted.conv.bias is None
+        assert merged.kernel_h == lifted.kernel_h
+        assert merged.stride == lifted.stride
+        assert merged.padding == lifted.padding
+        assert _max_err(merged.weights, lifted.weights) <= 1e-12
+        assert merged.bias is None and lifted.bias is None
         x = Tensor.of(rng.standard_normal((1, 3, 13, 13)))
-        seq = execute_layer(dw, execute_layer(first, x)).data
-        got = execute_layer(merged.conv, x).data
-        # a biased first conv through a padded depthwise conv is exact away
-        # from the p2-wide border only (s2 is 1 in those cases)
-        b = 0 if merged.boundary_exact else p2
-        assert merged.boundary_exact or s2 == 1
-        h = seq.shape[2]
+
+        def seq(inp):
+            return execute_layer(dw, execute_layer(first, inp)).data
+
+        # the composed kernel is the chain minus its zero-input response; it is
+        # exact away from the p2-wide border only when a wide first conv meets a
+        # padded depthwise conv (s2 is 1 in those cases)
+        linear = seq(x) - seq(Tensor(np.zeros_like(x.data)))
+        got = execute_layer(merged, x).data
+        b = 0 if p2 == 0 or d1 == 1 else p2
+        assert b == 0 or s2 == 1
+        h = linear.shape[2]
         inner = (slice(None), slice(None), slice(b, h - b), slice(b, h - b))
-        assert _max_err(seq[inner], got[inner]) <= 1e-12
+        assert _max_err(linear[inner], got[inner]) <= 1e-12
 
     def test_padded_successor_of_wide_conv_is_interior_exact_only(self, rng):
         first = random_conv(rng, 3, 4, 3, padding=1)
         second = random_conv(rng, 4, 5, 3, padding=1)
         merged = compose_convs(first, second)
-        assert not merged.boundary_exact
         x = Tensor.of(rng.standard_normal((1, 3, 12, 12)))
         seq = execute_layer(second, execute_layer(first, x)).data
-        got = execute_layer(merged.conv, x).data
+        got = execute_layer(merged, x).data
         # border rows differ, interior agrees; merged kernel 5 -> border 2
         assert _max_err(seq[:, :, 2:-2, 2:-2], got[:, :, 2:-2, 2:-2]) <= 1e-12
 
@@ -145,27 +144,22 @@ class TestCompose:
                     for s2 in (1, 2):
                         first = random_conv(rng, 2, 2, d1, stride=s1)
                         second = random_conv(rng, 2, 2, d2, stride=s2)
-                        m = compose_convs(first, second).conv
+                        m = compose_convs(first, second)
                         assert m.kernel_h == (d2 - 1) * s1 + d1
                         assert m.stride == s1 * s2
                         assert m.padding == first.padding + s1 * second.padding
 
     def test_bias_composition(self, rng):
+        # biases are left out: the composed conv is the chain minus its
+        # zero-input response, and merge_chain adds that response back
         first = random_conv(rng, 2, 3, 3, bias=True)
         second = random_conv(rng, 3, 2, 1, padding=0, bias=True)
         merged = compose_convs(first, second)
-        # unpadded second conv keeps the merge exact everywhere
-        assert merged.boundary_exact
+        assert merged.bias is None
         x = Tensor.of(rng.standard_normal((1, 2, 8, 8)))
-        seq = execute_layer(second, execute_layer(first, x)).data
-        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
-
-    def test_boundary_exact_flag(self, rng):
-        padded = random_conv(rng, 3, 2, 3, padding=1)
-        biased_pw = random_conv(rng, 2, 3, 1, padding=0, bias=True)
-        assert not compose_convs(biased_pw, padded).boundary_exact
-        clean_pw = random_conv(rng, 2, 3, 1, padding=0, bias=False)
-        assert compose_convs(clean_pw, padded).boundary_exact
+        zero = Tensor(np.zeros_like(x.data))
+        seq = [execute_layer(second, execute_layer(first, inp)).data for inp in (x, zero)]
+        assert _max_err(seq[0] - seq[1], execute_layer(merged, x).data) <= 1e-12
 
     def test_compose_rejects_grouped(self, rng):
         with pytest.raises(MergeError):
@@ -212,23 +206,23 @@ class TestMergeChain:
         chain = irb_chain(rng, 4, 4, e, k, s)
         x = Tensor.of(rng.standard_normal((1, 4, 9, 9)))
         seq = run_chain(chain, x, residual=residual).data
-        merged = merge_chain(chain, residual)
-        assert merged.conv.kernel_h == k and merged.conv.stride == s
-        assert merged.conv.c_in == 4 and merged.conv.c_out == 4
-        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-10
+        merged = merge_chain(chain, residual, x.dims)
+        assert merged.kernel_h == k and merged.stride == s
+        assert merged.c_in == 4 and merged.c_out == 4
+        assert _max_err(seq, execute_layer(merged, x).data) <= 1e-10
 
     def test_live_activation_refuses(self, rng):
         chain = irb_chain(rng, 4, 4, 2, 3, 1, act=ActivationKind.RELU6)
         with pytest.raises(MergeError, match="act1"):
-            merge_chain(chain, False)
+            merge_chain(chain, False, (1, 4, 9, 9))
 
     def test_bn_first_chain(self, rng):
         chain = [("bn", random_bn(rng, 3, biased=True)),
                  ("conv", random_conv(rng, 3, 2, 3, padding=0))]
         x = Tensor.of(rng.standard_normal((1, 3, 6, 6)))
         seq = run_chain(chain, x).data
-        merged = merge_chain(chain, False)
-        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
+        merged = merge_chain(chain, False, x.dims)
+        assert _max_err(seq, execute_layer(merged, x).data) <= 1e-12
 
     def test_depthwise_is_never_lifted_after_a_conv(self, rng, monkeypatch):
         lifted = []
@@ -239,7 +233,7 @@ class TestMergeChain:
             return real_lift(layer, *args, **kwargs)
 
         monkeypatch.setattr(merge_module, "lift_to_dense", counting_lift)
-        merge_chain(irb_chain(rng, 4, 4, 6, 3, 2), False)
+        merge_chain(irb_chain(rng, 4, 4, 6, 3, 2), False, (1, 4, 9, 9))
         assert [layer.groups for layer in lifted] == [1, 1]
 
     def test_depthwise_first_chain(self, rng):
@@ -247,21 +241,45 @@ class TestMergeChain:
                  ("pw", random_conv(rng, 4, 3, 1, padding=0))]
         x = Tensor.of(rng.standard_normal((1, 4, 7, 7)))
         seq = run_chain(chain, x).data
-        merged = merge_chain(chain, False)
-        assert _max_err(seq, execute_layer(merged.conv, x).data) <= 1e-12
+        merged = merge_chain(chain, False, x.dims)
+        assert _max_err(seq, execute_layer(merged, x).data) <= 1e-12
 
     def test_empty_chain(self):
         with pytest.raises(MergeError):
-            merge_chain([], False)
+            merge_chain([], False, (1, 4, 9, 9))
+
+    def test_biased_conv_before_padded_conv_gets_a_bias_map(self, rng):
+        # the border sees the bias through fewer taps, so f(0) varies in space
+        chain = [("pw", random_conv(rng, 2, 3, 1, padding=0, bias=True)),
+                 ("dw", random_conv(rng, 3, 3, 3, groups=3))]
+        x = Tensor.of(rng.standard_normal((2, 2, 7, 7)))
+        merged = merge_chain(chain, False, x.dims)
+        assert merged.bias.shape == (3, 7, 7)
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-12
+
+    def test_shift_after_the_padded_conv_stays_a_vector_bias(self, rng):
+        chain = irb_chain(rng, 3, 3, 2, 3, 1)
+        chain[-1] = ("bn3", random_bn(rng, 3, biased=True))
+        x = Tensor.of(rng.standard_normal((1, 3, 6, 6)))
+        merged = merge_chain(chain, False, x.dims)
+        assert merged.bias.shape == (3,)
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-12
+
+    def test_padded_conv_after_wide_kernel_raises(self, rng):
+        # no single conv zero-pads both the input and the hidden map
+        chain = [("a", random_conv(rng, 2, 3, 3, padding=1)),
+                 ("b", random_conv(rng, 3, 2, 3, padding=1))]
+        with pytest.raises(MergeError, match="padded conv at 'b'"):
+            merge_chain(chain, False, (1, 2, 8, 8))
 
 
 class TestMergeBlock:
     def test_block_merge_equivalence(self, rng):
         g = irb_graph(rng, 4, 4, 2, 3, 1, residual=True)
-        merged = merge_block(g, g.blocks[0])
+        merged = merge_block(g, g.blocks[0], g.input_dims)  # stem is identity
         x = Tensor.of(rng.standard_normal(g.input_dims))
         before = execute_graph(g, x).data
-        after = execute_layer(merged.conv, x).data  # stem is identity
+        after = execute_layer(merged, x).data
         assert _max_err(before, after) <= 1e-10
 
 
@@ -280,7 +298,6 @@ class TestShrinkGraph:
         merged = next(r for r in report.records if r.merged)
         assert merged.kernel == 3 and merged.c_in == 8 and merged.c_out == 8
         assert merged.flops_before > 0 and merged.flops_after > 0
-        assert report.all_boundary_exact
 
     def test_full_mask_removes_block_structure(self, rng):
         g = toy_irb(2, seed=3)
@@ -291,7 +308,7 @@ class TestShrinkGraph:
         assert report.max_merged_kernel == 3
 
     def test_mask_length_check(self, rng):
-        with pytest.raises(MergeError):
+        with pytest.raises(GraphError):
             shrink_graph(toy_irb(2, seed=3), [0])
 
     def test_free_activation_appended(self, rng):
@@ -345,14 +362,9 @@ class TestVerifyEquivalence:
         assert 0 < rep.max_abs_err <= 1e-15
         assert rep.max_rel_err <= 1e-15
 
-    def test_border_exclusion(self, rng):
+    def test_biased_block_is_exact_everywhere(self, rng):
         g = irb_graph(rng, 3, 3, 2, 3, 1, residual=False, biased=True)
-        merged = merge_block(g, g.blocks[0])
-        assert not merged.boundary_exact
         shrunk, _ = shrink_graph(g, [0])
-        strict = verify_equivalence(g, shrunk, 2, 1e-10, seed=1)
-        assert not strict.passed  # border rows genuinely differ
-        interior = verify_equivalence(g, shrunk, 2, 1e-10, seed=1, border=1,
-                                      require_full=False)
-        assert interior.passed
-        assert interior.interior_max_abs_err <= 1e-12
+        assert shrunk.node("block0_merged").layer.bias.shape == (3, 9, 9)
+        rep = verify_equivalence(g, shrunk, 2, 1e-10, seed=1)
+        assert rep.passed and rep.max_abs_err <= 1e-12
