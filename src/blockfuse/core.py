@@ -8,7 +8,7 @@ error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple, Union
 
@@ -22,9 +22,13 @@ _PRECISION_OF = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 @dataclass(frozen=True)
 class Tensor:
-    """Dense rank-4 array in (batch, channels, height, width) order."""
+    """Dense rank-4 array in (batch, channels, height, width) order.
+
+    `spare` marks a buffer that no one reads after this call, so `execute_layer`
+    may write its result into it."""
 
     data: np.ndarray
+    spare: bool = field(default=False, compare=False)
 
     @classmethod
     def of(cls, array, precision: Optional[str] = None, checked: bool = True) -> "Tensor":
@@ -53,11 +57,12 @@ class ActivationKind(Enum):
     RELU6 = "relu6"
     IDENTITY = "identity"
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """act(z), written into `out` when given; identity returns z itself."""
         if self is ActivationKind.RELU:
-            return np.maximum(z, 0)
+            return np.maximum(z, 0, out=out)
         if self is ActivationKind.RELU6:
-            return np.clip(z, 0, 6)
+            return np.clip(z, 0, 6, out=out)
         return z
 
 
@@ -239,10 +244,33 @@ def _depthwise_forward(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
     return out.reshape(n, c, oh, ow)
 
 
+def _dense_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                   oh: int, ow: int) -> np.ndarray:
+    """Dense (groups == 1) cross-correlation as im2col plus one GEMM per sample.
+
+    For each sample the kh*kw tap windows of the padded input are copied into one
+    (c*kh*kw, oh*ow) column buffer, in the order of `w.reshape(c_out, c*kh*kw)`,
+    and one matmul produces the sample's output. Both scratch buffers are sized
+    for one sample, so memory does not grow with the batch."""
+    n, c, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    wm = w.reshape(c_out, c * kh * kw)
+    xp = np.zeros((1, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    cols = np.empty((1, c, kh, kw, oh, ow), dtype=x.dtype)
+    out = np.empty((n, c_out, oh * ow), dtype=x.dtype)
+    for s in range(n):
+        xp[:, :, padding:padding + h, padding:padding + wd] = x[s]  # borders stay zero
+        for i, j, win in _taps(kh, kw, stride, oh, ow):
+            cols[:, :, i, j] = xp[win]
+        np.matmul(wm, cols.reshape(c * kh * kw, oh * ow), out=out[s])
+    return out.reshape(n, c_out, oh, ow)
+
+
 def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                  stride: int, padding: int, groups: int) -> np.ndarray:
     """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw), plus a (c_out,)
-    bias or a (c_out, oh, ow) bias map. Dense 1x1 is one matmul, depthwise a
+    bias or a (c_out, oh, ow) bias map. Dense 1x1 is one matmul, other dense convs
+    one GEMM per sample over an im2col buffer (`_dense_forward`), depthwise a
     channel-blocked multiply-add over all taps (`_depthwise_forward`), anything else
     one batched matmul per tap over all groups."""
     n, c, h, wd = x.shape
@@ -251,6 +279,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
     w = w.astype(x.dtype, copy=False)
     if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
         out = np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, c_out, oh, ow)
+    elif groups == 1:
+        out = _dense_forward(x, w, stride, padding, oh, ow)
     elif groups == c == c_out:
         out = _depthwise_forward(x, w[:, 0], stride, padding, oh, ow)
     else:
@@ -304,11 +334,13 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return conv_forward(x, layer.weights, layer.bias, layer.stride, layer.padding, layer.groups)
 
 
-def batchnorm(x: np.ndarray, layer: BatchNormLayer) -> np.ndarray:
+def batchnorm(x: np.ndarray, layer: BatchNormLayer,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """bn(x), written into `out` when given (which may be x itself)."""
     scale, shift = layer.scale_shift()
     scale = scale.astype(x.dtype, copy=False)
     shift = shift.astype(x.dtype, copy=False)
-    out = np.multiply(x, scale[None, :, None, None])
+    out = np.multiply(x, scale[None, :, None, None], out=out)
     out += shift[None, :, None, None]
     return out
 
@@ -340,24 +372,38 @@ def linear(x: np.ndarray, layer: Linear) -> np.ndarray:
     return out.reshape(n, -1, 1, 1)
 
 
+def returns_view(layer: Layer) -> bool:
+    """Whether `execute_layer` returns its input (or a view of it) rather than a
+    fresh array; every other layer's output shares no memory with an input that
+    is not spare."""
+    return isinstance(layer, Flatten) or (
+        isinstance(layer, Activation) and layer.kind is ActivationKind.IDENTITY)
+
+
 def execute_layer(layer: Layer, *inputs: Tensor) -> Tensor:
-    """Evaluate one layer on one input (two for Add)."""
+    """Evaluate one layer on one input (two for Add).
+
+    BN, ReLU/ReLU6 and Add write their result into a spare input's buffer, with
+    the same ufuncs in the same order as into a fresh one, so the values do not
+    depend on which inputs are spare."""
     if isinstance(layer, Add):
         if len(inputs) != 2:
             raise ShapeError("Add requires exactly two inputs")
         a, b = inputs
         if a.dims != b.dims:
             raise ShapeError(f"Add input dims differ: {a.dims} vs {b.dims}")
-        return Tensor(a.data + b.data)
+        spare = a.data if a.spare else b.data if b.spare else None
+        return Tensor(np.add(a.data, b.data, out=spare))
     if len(inputs) != 1:
         raise ShapeError(f"{type(layer).__name__} requires exactly one input")
     x = inputs[0].data
+    spare = x if inputs[0].spare else None
     if isinstance(layer, ConvLayer):
         return Tensor(conv2d(x, layer))
     if isinstance(layer, BatchNormLayer):
-        return Tensor(batchnorm(x, layer))
+        return Tensor(batchnorm(x, layer, out=spare))
     if isinstance(layer, Activation):
-        return Tensor(layer.kind.apply(x))
+        return Tensor(layer.kind.apply(x, out=spare))
     if isinstance(layer, AvgPool):
         return Tensor(avgpool2d(x, layer))
     if isinstance(layer, Linear):

@@ -14,6 +14,7 @@ from .core import (
     Tensor,
     execute_layer,
     layer_out_dims,
+    returns_view,
 )
 from .errors import GraphError, ShapeError
 
@@ -230,9 +231,17 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
                   tape: Optional[list] = None) -> Tensor:
     """Evaluate the graph in topological order; nodes with no inputs read the graph input.
 
-    An activation whose id is in `gates` outputs g * act(z) + (1 - g) * z. With a
-    `tape` list, each node appends (node, inputs, output), so every value is kept;
-    without one, each value is freed after its last consumer."""
+    An activation whose id is in `gates` outputs g * act(z) + (1 - g) * z; a gate of
+    exactly 1 is skipped. With a `tape` list, each node appends (node, inputs, output),
+    so every value is kept; without one, each value is freed after its last consumer.
+
+    Without a tape the walker also reuses buffers. It tracks which live values own
+    their buffer: every output but that of an identity activation or `Flatten`
+    (`returns_view`) is fresh, and those two own theirs only when their input was
+    handed over; `x` is never owned. An owned value whose last consumer is this node
+    goes to `execute_layer` as a spare buffer, unless it appears twice among the
+    node's inputs or the node is a gated activation, which still reads z after act(z).
+    """
     if x.dims[1:] != tuple(graph.input_dims)[1:]:
         raise ShapeError(
             f"input dims {x.dims} incompatible with graph input {graph.input_dims}"
@@ -242,16 +251,24 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
     sink = graph_sink(graph).node_id
     last_use = {ref: i for i, node in enumerate(order) for ref in node.input_ids}
     values: Dict[str, Tensor] = {}
+    owned = set()
     for i, node in enumerate(order):
-        ins = [values[ref] for ref in node.input_ids] if node.input_ids else [x]
+        g = gates.get(node.node_id, 1.0)
+        refs = node.input_ids
+        handed = {ref for ref in refs if ref in owned and last_use[ref] == i
+                  and refs.count(ref) == 1} if tape is None and g == 1.0 else ()
+        ins = [Tensor(values[ref].data, spare=ref in handed) for ref in refs] if refs else [x]
         out = execute_layer(node.layer, *ins)
-        if node.node_id in gates:
-            g = gates[node.node_id]
+        if g != 1.0:
             out = Tensor(g * out.data + (1.0 - g) * ins[0].data)
+        if g != 1.0 or not returns_view(node.layer) or ins[0].spare:
+            owned.add(node.node_id)
+        elif refs:
+            owned.discard(refs[0])  # a live view now shares its input's buffer
         values[node.node_id] = out
         if tape is not None:
             tape.append((node, ins, out))  # keeps every value alive
-        for ref in {ref for ref in node.input_ids if last_use[ref] == i}:
+        for ref in {ref for ref in refs if last_use[ref] == i}:
             del values[ref]  # its last consumer has run
     return values[sink]
 

@@ -73,6 +73,12 @@ def _check_at_least(params: dict, keys, low: int, path: str) -> None:
                               f"got {params[key]!r}")
 
 
+def _placeholder(shape: tuple) -> np.ndarray:
+    """Zeros of `shape` as one read-only zero-stride view, so a graph loaded
+    before `bind_weights` costs no memory per weight."""
+    return np.broadcast_to(np.zeros(()), shape)
+
+
 def _layer_from_json(op: str, params: dict, path: str) -> Layer:
     try:
         if op == "conv":
@@ -90,8 +96,8 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
             return ConvLayer(
                 params["kernel_h"], params["kernel_w"], params["stride"],
                 params["padding"], params["groups"], params["c_in"], c_out,
-                weights=np.zeros(shape),
-                bias=np.zeros((c_out, *(hw or ()))) if params.get("has_bias") else None,
+                weights=_placeholder(shape),
+                bias=_placeholder((c_out, *(hw or ()))) if params.get("has_bias") else None,
             )
         if op == "bn":
             c = params["channels"]
@@ -104,8 +110,8 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
             return AvgPool(params["kernel"], params["stride"])
         if op == "linear":
             shape = (params["out_features"], params["in_features"])
-            bias = np.zeros(params["out_features"]) if params.get("has_bias") else None
-            return Linear(np.zeros(shape), bias)
+            bias = _placeholder((params["out_features"],)) if params.get("has_bias") else None
+            return Linear(_placeholder(shape), bias)
         if op == "add":
             return Add()
         if op == "flatten":
@@ -147,7 +153,8 @@ def _node_ids(value, path: str) -> tuple:
 def graph_from_json(doc: dict) -> NetGraph:
     if not isinstance(doc, dict):
         raise FormatError("$: graph document must be a JSON object")
-    if doc.get("version") not in (1, GRAPH_VERSION):
+    # the type check keeps JSON true and 1.0 from passing as version 1
+    if type(doc.get("version")) is not int or doc["version"] not in (1, GRAPH_VERSION):
         raise FormatError(f"$.version: expected 1 or {GRAPH_VERSION}, "
                           f"got {doc.get('version')!r}")
     try:

@@ -37,7 +37,7 @@ from .core import (
     layer_out_dims,
 )
 from .cost import node_flops
-from .errors import MergeError, ShapeError
+from .errors import BlockfuseError, MergeError, ShapeError
 from .graph import (
     BlockAnnotation,
     NetGraph,
@@ -421,11 +421,14 @@ class EquivalenceReport:
 def verify_equivalence(g_before: NetGraph, g_after: NetGraph, n_samples: int,
                        tol: float, seed: int, precision: str = "f64") -> EquivalenceReport:
     """Evaluate both graphs on seeded standard-normal inputs; the check passes
-    when the largest absolute difference over all outputs is within tol."""
+    when the largest absolute difference over all outputs is within tol. At least
+    one sample is required: with none the check would pass on no evidence."""
     if tuple(g_before.input_dims) != tuple(g_after.input_dims):
         raise ShapeError(
             f"input dims differ: {g_before.input_dims} vs {g_after.input_dims}"
         )
+    if n_samples < 1:
+        raise BlockfuseError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     max_abs = 0.0
     max_rel = 0.0

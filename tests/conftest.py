@@ -41,21 +41,26 @@ def conv_oracle(x, weights, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
-# (n, c_in, c_out, k, stride, padding, groups, bias): one case per conv kernel path;
-# k is an int, or (kh, kw) for a non-square kernel
+# (n, c_in, c_out, k, stride, padding, groups, bias, dtype): one case per conv kernel
+# path; k is an int, or (kh, kw) for a non-square kernel
 CONV_CASES = [
-    pytest.param(2, 4, 6, 3, 1, 0, 1, False, id="1-0-1-False"),
-    pytest.param(2, 4, 6, 3, 2, 1, 1, True, id="2-1-1-True"),
-    pytest.param(2, 4, 6, 3, 1, 2, 2, True, id="1-2-2-True"),
-    pytest.param(2, 6, 6, 3, 2, 1, 6, True, id="depthwise-s2-p1"),
-    pytest.param(3, 5, 5, 5, 1, 2, 5, False, id="depthwise-k5-n3"),
-    pytest.param(2, 4, 6, 1, 1, 0, 1, True, id="pointwise-matmul"),
-    pytest.param(2, 4, 6, 1, 2, 0, 1, False, id="pointwise-s2-general"),
-    pytest.param(2, 4, 6, 1, 1, 1, 1, True, id="pointwise-p1-general"),
-    pytest.param(2, 6, 9, 3, 2, 1, 3, True, id="grouped-cg2-to-cg3"),
-    pytest.param(2, 4, 8, 3, 1, 1, 4, False, id="depthwise-multiplier-2"),
-    pytest.param(2, 6, 6, (3, 1), 2, 1, 6, True, id="depthwise-3x1-s2-p1"),
+    pytest.param(2, 4, 6, 3, 1, 0, 1, False, np.float64, id="1-0-1-False"),
+    pytest.param(2, 4, 6, 3, 2, 1, 1, True, np.float64, id="2-1-1-True"),
+    pytest.param(2, 4, 6, 3, 1, 2, 2, True, np.float64, id="1-2-2-True"),
+    pytest.param(2, 6, 6, 3, 2, 1, 6, True, np.float64, id="depthwise-s2-p1"),
+    pytest.param(3, 5, 5, 5, 1, 2, 5, False, np.float64, id="depthwise-k5-n3"),
+    pytest.param(2, 4, 6, 1, 1, 0, 1, True, np.float64, id="pointwise-matmul"),
+    pytest.param(2, 4, 6, 1, 2, 0, 1, False, np.float64, id="pointwise-s2-general"),
+    pytest.param(2, 4, 6, 1, 1, 1, 1, True, np.float64, id="pointwise-p1-general"),
+    pytest.param(2, 6, 9, 3, 2, 1, 3, True, np.float64, id="grouped-cg2-to-cg3"),
+    pytest.param(2, 4, 8, 3, 1, 1, 4, False, np.float64, id="depthwise-multiplier-2"),
+    pytest.param(2, 6, 6, (3, 1), 2, 1, 6, True, np.float64, id="depthwise-3x1-s2-p1"),
+    pytest.param(2, 4, 6, (3, 1), 2, 1, 1, True, np.float64, id="dense-3x1-s2-p1"),
+    pytest.param(2, 4, 6, 3, 1, 1, 1, True, np.float32, id="dense-f32"),
 ]
+
+# largest error allowed against `conv_oracle` (which sums in f64) per input dtype
+CONV_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
 def identity_conv(channels: int, dtype=np.float64) -> ConvLayer:

@@ -15,7 +15,7 @@ from blockfuse.graph import execute_graph
 from blockfuse.io import bind_weights
 from blockfuse.merge import shrink_graph
 
-from conftest import CONV_CASES, random_conv
+from conftest import CONV_CASES, CONV_TOL, random_conv
 
 
 class FractionalMask(MaskState):
@@ -86,9 +86,15 @@ class TestForwardMasked:
         rng = np.random.Generator(np.random.PCG64(0))
         for graph in (toy_irb(2, seed=1), mobilenet_v2(1.0, image_size=32, seed=1)):
             x = rng.standard_normal((2,) + tuple(graph.input_dims[1:]))
-            state = MaskState.fresh(len(graph.blocks), len(graph.blocks))
-            out, _ = forward_masked(graph, extract_params(graph), state, x)
-            assert np.array_equal(out, execute_graph(graph, Tensor.of(x)).data)
+            n = len(graph.blocks)
+            for state in (MaskState.fresh(n, n), None):
+                out, tape = forward_masked(graph, extract_params(graph), state, x)
+                assert np.array_equal(out, execute_graph(graph, Tensor.of(x)).data)
+                # gates of 1 are skipped in the walk, but stay on the tape for m_grad
+                gated = {e.node.node_id: (e.slot, e.gate) for e in tape.entries
+                         if e.slot is not None}
+                assert gated == {aid: (b.block_id, 1.0) for b in graph.blocks
+                                 for aid in b.act_node_ids}
 
     def test_zero_gate_bypasses_activation(self):
         graph = toy_irb(1, seed=1)
@@ -121,18 +127,18 @@ class TestForwardMasked:
 
 
 class TestConvBackward:
-    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype", CONV_CASES)
     def test_backward_is_the_adjoint_of_forward(self, rng, n, c_in, c_out, k, stride,
-                                                padding, groups, bias):
+                                                padding, groups, bias, dtype):
         # conv is bilinear in (x, w), so <conv(x, w), d> == <x, dx> == <w, dw>
-        x = rng.standard_normal((n, c_in, 7, 7))
-        w = random_conv(rng, c_in, c_out, k, stride, padding, groups).weights
+        x = rng.standard_normal((n, c_in, 7, 7)).astype(dtype)
+        w = random_conv(rng, c_in, c_out, k, stride, padding, groups).weights.astype(dtype)
         y = conv_forward(x, w, None, stride, padding, groups)
-        d = rng.standard_normal(y.shape)
+        d = rng.standard_normal(y.shape).astype(dtype)
         dx, dw, db = conv_backward(d, x, w, stride, padding, groups)
         assert dx.shape == x.shape and dw.shape == w.shape
         inner = np.vdot(y, d)
-        tol = 1e-12 * np.linalg.norm(y) * np.linalg.norm(d)
+        tol = CONV_TOL[dtype] * np.linalg.norm(y) * np.linalg.norm(d)
         assert abs(np.vdot(x, dx) - inner) <= tol
         assert abs(np.vdot(w, dw) - inner) <= tol
         np.testing.assert_array_equal(db, d.sum(axis=(0, 2, 3)))

@@ -87,6 +87,23 @@ class TestShrinkVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "equivalence check failed"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_without_samples_exits_1(self, tmp_path, capsys, samples):
+        a = _gen(tmp_path, seed=0)
+        b = tmp_path / "other"
+        assert run(["gen-fixture", "toy-irb-2", "--out", str(b), "--seed", "9"]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--before", str(a), "--after", str(b),
+                    "--samples", samples, "--tol", "1e-10"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BlockfuseError" and "n_samples" in err["message"]
+
+    def test_graph_without_weights_runs_cost_and_verify(self, tmp_path):
+        out = _gen(tmp_path)
+        (out / "weights.dswt").unlink()
+        assert run(["cost", "--graph", str(out)]) == 0
+        assert run(["verify", "--before", str(out), "--after", str(out)]) == 0
+
     def test_shrunk_graph_differs_from_unmasked_original(self, tmp_path):
         out = _gen(tmp_path)
         mask = tmp_path / "mask.json"
@@ -195,11 +212,13 @@ class TestErrorHandling:
         (lambda doc: doc["nodes"][1].update(inputs="stem_act"), "FormatError",
          "$.nodes[1].inputs"),
         (lambda doc: doc.update(metadata=["fixture"]), "FormatError", "$.metadata"),
+        (lambda doc: doc.update(version=True), "FormatError", "$.version"),
+        (lambda doc: doc.update(version=1.0), "FormatError", "$.version"),
         (lambda doc: doc["blocks"][0].update(node_ids=[]), "GraphError", "empty node list"),
         (lambda doc: doc["blocks"][0]["node_ids"].__setitem__(0, "no_such_node"),
          "GraphError", "unknown node 'no_such_node'"),
     ], ids=["nodes-int", "node-list", "id-list", "inputs-str", "metadata-list",
-            "block-empty", "block-unknown-first"])
+            "version-bool", "version-float", "block-empty", "block-unknown-first"])
     def test_malformed_graph_exits_1(self, tmp_path, capsys, mutate, error, where):
         out = _gen(tmp_path)
         doc = json.loads((out / "graph.json").read_text())

@@ -22,7 +22,7 @@ from blockfuse.core import (
 )
 from blockfuse.errors import NumericError, ShapeError
 
-from conftest import CONV_CASES, conv_oracle, identity_conv, random_conv
+from conftest import CONV_CASES, CONV_TOL, conv_oracle, identity_conv, random_conv
 
 
 class TestTensor:
@@ -57,15 +57,17 @@ class TestConv:
         expected = conv_oracle(x, layer.weights, stride=1, padding=1, groups=4)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype", CONV_CASES)
     def test_general_conv_matches_oracle(self, rng, n, c_in, c_out, k, stride, padding,
-                                         groups, bias):
-        x = rng.standard_normal((n, c_in, 7, 7))
+                                         groups, bias, dtype):
+        x = rng.standard_normal((n, c_in, 7, 7)).astype(dtype)
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups, bias=bias)
         out = execute_layer(layer, Tensor.of(x))
-        expected = conv_oracle(x, layer.weights, layer.bias, stride, padding, groups)
-        assert np.max(np.abs(out.data - expected)) <= 1e-12
+        assert out.data.dtype == dtype
+        expected = conv_oracle(x.astype(np.float64), layer.weights, layer.bias, stride,
+                               padding, groups)
+        assert np.max(np.abs(out.data - expected)) <= CONV_TOL[dtype]
 
     def test_grouped_conv_equals_concatenated_dense_convs(self, rng):
         g = 2
@@ -89,10 +91,10 @@ class TestConv:
         with pytest.raises(ShapeError):
             ConvLayer(3, 3, 1, 1, 3, 2, 2, np.zeros((2, 1, 3, 3)))
 
-    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", CONV_CASES)
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype", CONV_CASES)
     def test_bias_map_matches_oracle_plus_map(self, rng, n, c_in, c_out, k, stride,
-                                              padding, groups, bias):
-        x = rng.standard_normal((n, c_in, 7, 7))
+                                              padding, groups, bias, dtype):
+        x = rng.standard_normal((n, c_in, 7, 7)).astype(dtype)
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups)
         oh, ow = layer_out_dims(layer, x.shape)[2:]
@@ -100,8 +102,9 @@ class TestConv:
         mapped = replace(layer, bias=bias_map)
         assert layer_out_dims(mapped, x.shape) == (n, c_out, oh, ow)
         out = execute_layer(mapped, Tensor.of(x)).data
-        expected = conv_oracle(x, layer.weights, None, stride, padding, groups) + bias_map
-        assert np.max(np.abs(out - expected)) <= 1e-12
+        expected = conv_oracle(x.astype(np.float64), layer.weights, None, stride, padding,
+                               groups) + bias_map
+        assert np.max(np.abs(out - expected)) <= CONV_TOL[dtype]
 
     def test_bias_map_shape_checks(self, rng):
         layer = random_conv(rng, 2, 3, 3)
@@ -132,9 +135,10 @@ def _small_blocks(monkeypatch, x, padding):
 
 
 class TestDepthwiseBlocking:
-    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias", DEPTHWISE_CASES)
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype",
+                             DEPTHWISE_CASES)
     def test_small_blocks_match_default_and_oracle(self, rng, monkeypatch, n, c_in, c_out,
-                                                   k, stride, padding, groups, bias):
+                                                   k, stride, padding, groups, bias, dtype):
         x = rng.standard_normal((n, c_in, 7, 7))
         x_before = x.copy()
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
@@ -219,6 +223,49 @@ class TestOtherLayers:
             execute_layer(Add(), a, b)
         out = execute_layer(Add(), a, a)
         np.testing.assert_array_equal(out.data, 2 * a.data)
+
+
+LAYER_KINDS = [
+    pytest.param(lambda rng: random_conv(rng, 3, 3, 3, bias=True), id="conv"),
+    pytest.param(lambda rng: BatchNormLayer(0.5 + rng.random(3), rng.standard_normal(3),
+                                            rng.standard_normal(3), 0.5 + rng.random(3)),
+                 id="bn"),
+    pytest.param(lambda rng: Activation(ActivationKind.RELU), id="relu"),
+    pytest.param(lambda rng: Activation(ActivationKind.RELU6), id="relu6"),
+    pytest.param(lambda rng: Activation(ActivationKind.IDENTITY), id="identity"),
+    pytest.param(lambda rng: AvgPool(2, 2), id="avgpool"),
+    pytest.param(lambda rng: Linear(rng.standard_normal((2, 48)), rng.standard_normal(2)),
+                 id="linear"),
+    pytest.param(lambda rng: Add(), id="add"),
+    pytest.param(lambda rng: core.Flatten(), id="flatten"),
+]
+
+
+class TestSpareInputs:
+    @pytest.mark.parametrize("make", LAYER_KINDS)
+    def test_returns_view_is_the_alias_rule(self, rng, make):
+        layer = make(rng)
+        xs = [rng.standard_normal((2, 3, 4, 4)) * 4
+              for _ in range(2 if isinstance(layer, Add) else 1)]
+        out = execute_layer(layer, *map(Tensor, xs)).data
+        assert np.shares_memory(out, xs[0]) == core.returns_view(layer)
+        assert not any(np.shares_memory(out, x) for x in xs[1:])
+
+    @pytest.mark.parametrize("make", LAYER_KINDS)
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_spare_input_gives_the_same_bits(self, rng, make, precision):
+        layer = make(rng)
+        xs = [Tensor.of(rng.standard_normal((2, 3, 4, 4)) * 4, precision)
+              for _ in range(2 if isinstance(layer, Add) else 1)]
+        fresh = execute_layer(layer, *xs).data
+        for which in range(len(xs)):  # each input of Add in turn
+            ins = [Tensor(x.data.copy(), spare=i == which) for i, x in enumerate(xs)]
+            out = execute_layer(layer, *ins).data
+            assert np.array_equal(out, fresh) and out.dtype == fresh.dtype
+            # BN, ReLU/ReLU6 and Add reuse the spare buffer; identity and Flatten
+            # return it; the others allocate
+            reused = not isinstance(layer, (ConvLayer, AvgPool, Linear))
+            assert np.shares_memory(out, ins[which].data) == reused
 
 
 class TestProperties:

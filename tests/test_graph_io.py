@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from blockfuse.core import (
     Activation,
     ActivationKind,
     Add,
+    AvgPool,
     ConvLayer,
+    Flatten,
+    Linear,
     Tensor,
 )
 from blockfuse.errors import FormatError, GraphError
-from blockfuse.fixtures import toy_irb, vgg_toy
+from blockfuse.fixtures import generate, mobilenet_v2, toy_irb, vgg_toy
 from blockfuse.graph import (
     BlockAnnotation,
     LatencyTable,
@@ -27,7 +31,7 @@ from blockfuse.graph import (
 )
 from blockfuse.merge import shrink_graph
 
-from conftest import identity_conv, irb_graph, random_conv
+from conftest import identity_conv, irb_graph, random_bn, random_conv
 
 
 class TestGraphStructure:
@@ -118,6 +122,73 @@ class TestExecuteAndMask:
             apply_mask_vector(g, [0, 2])
 
 
+def _untaped_and_taped(g, x, gates=None):
+    """Outputs of the walk that reuses buffers and of the taped walk, which
+    never writes in place."""
+    return execute_graph(g, x, gates).data, execute_graph(g, x, gates, tape=[]).data
+
+
+def _aliasing_graph(rng, c=3):
+    """conv feeds an identity activation and a BN; the Add reads both. The
+    identity output is a live view of conv's buffer when conv reaches its last
+    consumer, the BN, so that buffer must not be written."""
+    nodes = (Node("conv", random_conv(rng, c, c, 3), ()),
+             Node("view", Activation(ActivationKind.IDENTITY), ("conv",)),
+             Node("bn", random_bn(rng, c, biased=True), ("conv",)),
+             Node("add", Add(), ("view", "bn")))
+    return NetGraph(nodes, (1, c, 6, 6))
+
+
+def _bn_feeds_add_graph(rng, c=3):
+    """conv -> bn -> relu, and an Add of the bn input (conv) with relu's output."""
+    nodes = (Node("conv", random_conv(rng, c, c, 3, bias=True), ()),
+             Node("bn", random_bn(rng, c, biased=True), ("conv",)),
+             Node("relu", Activation(ActivationKind.RELU), ("bn",)),
+             Node("add", Add(), ("conv", "relu")))
+    return NetGraph(nodes, (1, c, 6, 6))
+
+
+def _input_view_graph(rng, c=3):
+    """Identity and Flatten views of the caller's input, each fed to layers that
+    may write in place."""
+    nodes = (Node("view", Activation(ActivationKind.IDENTITY), ()),
+             Node("bn", random_bn(rng, c, biased=True), ("view",)),
+             Node("relu", Activation(ActivationKind.RELU), ("bn",)),
+             Node("flat", Flatten(), ()),
+             Node("relu2", Activation(ActivationKind.RELU), ("flat",)),
+             Node("pool", AvgPool(6, 1), ("relu",)),
+             Node("flat2", Flatten(), ("pool",)),
+             Node("add", Add(), ("flat2", "flat2")),
+             Node("lin", Linear(rng.standard_normal((c, c * 36))), ("relu2",)),
+             Node("sum", Add(), ("add", "lin")))
+    return NetGraph(nodes, (1, c, 6, 6))
+
+
+class TestBufferOwnership:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: toy_irb(2, seed=1), id="toy-irb"),
+        pytest.param(lambda rng: mobilenet_v2(1.0, image_size=32, seed=1), id="mbv2-32px"),
+        pytest.param(_aliasing_graph, id="view-of-a-live-value"),
+        pytest.param(_bn_feeds_add_graph, id="bn-input-feeds-add"),
+        pytest.param(_input_view_graph, id="views-of-the-input"),
+    ])
+    def test_reusing_walk_equals_taped_walk_and_keeps_the_input(self, rng, make):
+        g = make(rng)
+        x = Tensor.of(rng.standard_normal((2,) + tuple(g.input_dims[1:])) - 0.5)
+        x_before = x.data.copy()
+        untaped, taped = _untaped_and_taped(g, x)
+        assert np.array_equal(untaped, taped)
+        np.testing.assert_array_equal(x.data, x_before)
+
+    def test_half_gates_equal_taped_result(self, rng):
+        g = mobilenet_v2(1.0, image_size=32, seed=1)
+        gates = {aid: 0.5 for b in g.blocks for aid in b.act_node_ids}
+        x = Tensor.of(rng.standard_normal((2,) + tuple(g.input_dims[1:])))
+        untaped, taped = _untaped_and_taped(g, x, gates)
+        assert np.array_equal(untaped, taped)
+        assert not np.array_equal(untaped, execute_graph(g, x).data)
+
+
 class TestGraphJson:
     @pytest.mark.parametrize("fixture", [lambda: toy_irb(2, seed=1), vgg_toy])
     def test_round_trip_preserves_execution(self, tmp_path, rng, fixture):
@@ -145,6 +216,27 @@ class TestGraphJson:
         doc["version"] = 3
         with pytest.raises(FormatError, match=r"\$\.version"):
             io.graph_from_json(doc)
+
+    def test_load_allocates_no_weight_placeholders(self, tmp_path):
+        g, _ = generate("mbv2-1.4")
+        io.save_graph(g, tmp_path / "graph.json")
+        tracemalloc.start()
+        try:
+            io.load_graph(tmp_path / "graph.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6  # full-size zero arrays took 49 MB
+
+    def test_unbound_graph_saves_zero_weights(self, tmp_path, rng):
+        g = toy_irb(2, seed=1)
+        io.save_graph(g, tmp_path / "graph.json")
+        table = io.weights_of_graph(io.load_graph(tmp_path / "graph.json"))
+        zeros = {name: np.full(arr.shape, 1.0 if name.endswith((".gamma", ".var")) else 0.0)
+                 for name, arr in io.weights_of_graph(g).items()}
+        io.save_weights(table, tmp_path / "loaded.dswt")
+        io.save_weights(zeros, tmp_path / "zeros.dswt")
+        assert (tmp_path / "loaded.dswt").read_bytes() == (tmp_path / "zeros.dswt").read_bytes()
 
     def test_bias_map_round_trip(self, tmp_path, rng):
         shrunk, _ = shrink_graph(irb_graph(rng, 3, 3, 2, 3, 1, residual=False,
