@@ -101,22 +101,35 @@ def _act_grad(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _slots_and_gates(graph: NetGraph, mask_state: Optional[MaskState]
+                     ) -> Tuple[Dict[str, int], Dict[str, float]]:
+    """Each block activation's mask slot and its m_hat bit (1 without a mask state)."""
+    m_hat = np.ones(len(graph.blocks)) if mask_state is None \
+        else checked_mask(graph, mask_state.m_hat)
+    slots = {aid: b.block_id for b in graph.blocks for aid in b.act_node_ids}
+    return slots, {aid: float(m_hat[slot]) for aid, slot in slots.items()}
+
+
 def forward_masked(graph: NetGraph, params: Dict[str, np.ndarray],
                    mask_state: Optional[MaskState], x: np.ndarray
                    ) -> Tuple[np.ndarray, GradTape]:
     """Run `execute_graph` with `params` bound and gated block activations,
     recording a tape."""
-    n_blocks = len(graph.blocks)
-    m_hat = np.ones(n_blocks) if mask_state is None \
-        else checked_mask(graph, mask_state.m_hat)
-    slots = {aid: b.block_id for b in graph.blocks for aid in b.act_node_ids}
-    gates = {aid: float(m_hat[slot]) for aid, slot in slots.items()}
+    slots, gates = _slots_and_gates(graph, mask_state)
     bound = bind_weights(graph, params)
     records: list = []
     out = execute_graph(bound, Tensor.of(x), gates, records)
     entries = [TapeEntry(node, [t.data for t in ins], y.data, slots.get(node.node_id),
                          gates.get(node.node_id)) for node, ins, y in records]
-    return out.data, GradTape(bound, entries, n_blocks)
+    return out.data, GradTape(bound, entries, len(graph.blocks))
+
+
+def forward_untaped(graph: NetGraph, params: Dict[str, np.ndarray],
+                    mask_state: Optional[MaskState], x: np.ndarray) -> np.ndarray:
+    """`forward_masked`'s output without the tape, so the walker can drop values
+    it no longer needs and reuse their buffers."""
+    _, gates = _slots_and_gates(graph, mask_state)
+    return execute_graph(bind_weights(graph, params), Tensor.of(x), gates).data
 
 
 def backward(tape: GradTape, loss_grad: np.ndarray

@@ -35,16 +35,14 @@ from .train import (
 
 
 def _resolve(path_arg: str, weights_arg=None):
-    """Accept a directory (graph.json + weights.dswt inside) or a graph file."""
+    """Accept a directory (graph.json + weights.dswt inside) or a graph file. A
+    weights file named on the command line must exist; the weights.dswt beside
+    the graph is optional."""
     p = Path(path_arg)
-    if p.is_dir():
-        graph_path = p / "graph.json"
-        weights_path = Path(weights_arg) if weights_arg else p / "weights.dswt"
-    else:
-        graph_path = p
-        weights_path = Path(weights_arg) if weights_arg else p.with_name("weights.dswt")
+    graph_path = p / "graph.json" if p.is_dir() else p
+    weights_path = Path(weights_arg) if weights_arg else graph_path.with_name("weights.dswt")
     graph = io.load_graph(graph_path)
-    if weights_path.exists():
+    if weights_arg or weights_path.exists():
         graph = io.bind_weights(graph, io.load_weights(weights_path))
     return graph
 

@@ -1,10 +1,12 @@
 """Numerical kernels in (n, c, h, w) layout.
 
 Convolution is one shared forward/backward kernel pair, used by both the
-executor and autodiff. It loops over kernel taps only, never over groups;
-the brute-force `conv_oracle` in the tests is the reference it is checked
-against. Default precision is f64; f32 exists only to emulate deployment
-error.
+executor and autodiff. The forward is one matmul for a plain 1x1 conv and
+im2col plus a batched matmul over cache-sized blocks of (sample, group) rows
+for every other conv; the backward loops over kernel taps, never over
+groups. The brute-force `conv_oracle` in the tests is the reference both are
+checked against. Default precision is f64; f32 exists only to emulate
+deployment error.
 """
 from __future__ import annotations
 
@@ -209,87 +211,58 @@ def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
                               j : j + stride * (ow - 1) + 1 : stride]
 
 
-# Padded input bytes per depthwise block: 512 KiB was the fastest budget tried
-# (128 KiB to 2 MiB) over MobileNetV2's depthwise shapes at n=1 and n=8.
-_DW_BLOCK_BYTES = 512 * 1024
+# Scratch bytes (padded rows plus their tap columns) per block of rows in
+# `_grouped_forward`. 1 MiB was the fastest budget tried (256 KiB to 4 MiB) over
+# MobileNetV2's depthwise shapes at n=1 and n=8.
+_BLOCK_BYTES = 1 << 20
 
 
-def _depthwise_forward(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
-                       oh: int, ow: int) -> np.ndarray:
-    """Depthwise cross-correlation of x (n, c, h, w) with per-channel kernels k (c, kh, kw).
+def _grouped_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                     groups: int, oh: int, ow: int) -> np.ndarray:
+    """Grouped cross-correlation as im2col plus one batched matmul per block of rows.
 
-    The n*c channel rows are walked in cache-sized blocks. Each block is copied into
-    one zeroed, padded scratch buffer and runs every tap before the next block is
-    read, instead of one pass over the whole tensor per tap. Taps accumulate in kernel
-    order within every block, so the result does not depend on the block size."""
+    x is viewed as n*groups rows of c_in // groups channels. The rows are walked in
+    cache-sized blocks: each block is copied into one zeroed, padded scratch buffer,
+    its kh*kw tap windows are gathered into one (m, cg_in*kh*kw, oh*ow) column buffer
+    in the order of `w`, and one matmul against each row's group weights writes the
+    block's output. Every row is its own product, so the result does not depend on
+    the block size. Depthwise is then one GEMV per row; a dense conv whose sample
+    does not fit the budget runs one GEMM per sample."""
     n, c, h, wd = x.shape
-    kh, kw = k.shape[1:]
-    rows = n * c
+    c_out, cg_in, kh, kw = w.shape
+    rows, k, p = n * groups, cg_in * kh * kw, oh * ow
     hp, wp = h + 2 * padding, wd + 2 * padding
-    block = max(1, min(rows, _DW_BLOCK_BYTES // (hp * wp * x.itemsize)))
-    src = x.reshape(1, rows, h, wd)
-    kr = np.tile(k, (n, 1, 1))  # (rows, kh, kw): the kernel of each row
-    out = np.empty((1, rows, oh, ow), dtype=x.dtype)
-    xp = np.zeros((1, block, hp, wp), dtype=x.dtype)  # borders stay zero
-    tmp = np.empty((1, block, oh, ow), dtype=x.dtype)  # one product buffer per block
+    block = max(1, min(rows, _BLOCK_BYTES // ((cg_in * hp * wp + k * p) * x.itemsize)))
+    src = x.reshape(rows, cg_in, h, wd)
+    wg = w.reshape(groups, c_out // groups, k)
+    out = np.empty((rows, c_out // groups, p), dtype=x.dtype)
+    xp = np.zeros((block, cg_in, hp, wp), dtype=x.dtype)  # borders stay zero
+    cols = np.empty((block, cg_in, kh, kw, oh, ow), dtype=x.dtype)
     for r in range(0, rows, block):
         m = min(block, rows - r)
-        xb, ob, kb = xp[:, :m], out[:, r:r + m], kr[r:r + m]
-        xb[:, :, padding:padding + h, padding:padding + wd] = src[:, r:r + m]
-        taps = _taps(kh, kw, stride, oh, ow)
-        i, j, win = next(taps)  # the first tap writes the output slice
-        np.multiply(xb[win], kb[:, i, j, None, None], out=ob)
-        for i, j, win in taps:
-            ob += np.multiply(xb[win], kb[:, i, j, None, None], out=tmp[:, :m])
-    return out.reshape(n, c, oh, ow)
-
-
-def _dense_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                   oh: int, ow: int) -> np.ndarray:
-    """Dense (groups == 1) cross-correlation as im2col plus one GEMM per sample.
-
-    For each sample the kh*kw tap windows of the padded input are copied into one
-    (c*kh*kw, oh*ow) column buffer, in the order of `w.reshape(c_out, c*kh*kw)`,
-    and one matmul produces the sample's output. Both scratch buffers are sized
-    for one sample, so memory does not grow with the batch."""
-    n, c, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    wm = w.reshape(c_out, c * kh * kw)
-    xp = np.zeros((1, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
-    cols = np.empty((1, c, kh, kw, oh, ow), dtype=x.dtype)
-    out = np.empty((n, c_out, oh * ow), dtype=x.dtype)
-    for s in range(n):
-        xp[:, :, padding:padding + h, padding:padding + wd] = x[s]  # borders stay zero
+        xb, cb = xp[:m], cols[:m]
+        xb[:, :, padding:padding + h, padding:padding + wd] = src[r:r + m]
         for i, j, win in _taps(kh, kw, stride, oh, ow):
-            cols[:, :, i, j] = xp[win]
-        np.matmul(wm, cols.reshape(c * kh * kw, oh * ow), out=out[s])
+            cb[:, :, i, j] = xb[win]
+        wb = wg[0] if groups == 1 else wg[np.arange(r, r + m) % groups]
+        np.matmul(wb, cb.reshape(m, k, p), out=out[r:r + m])
     return out.reshape(n, c_out, oh, ow)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                  stride: int, padding: int, groups: int) -> np.ndarray:
     """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw), plus a (c_out,)
-    bias or a (c_out, oh, ow) bias map. Dense 1x1 is one matmul, other dense convs
-    one GEMM per sample over an im2col buffer (`_dense_forward`), depthwise a
-    channel-blocked multiply-add over all taps (`_depthwise_forward`), anything else
-    one batched matmul per tap over all groups."""
+    bias or a (c_out, oh, ow) bias map. Dense 1x1 with stride 1 and no padding is one
+    matmul; every other conv, dense, depthwise or grouped, is im2col plus a batched
+    matmul over cache-sized blocks of (sample, group) rows (`_grouped_forward`)."""
     n, c, h, wd = x.shape
-    c_out, cg_in, kh, kw = w.shape
+    c_out, _, kh, kw = w.shape
     oh, ow = conv_out_size(h, kh, stride, padding), conv_out_size(wd, kw, stride, padding)
     w = w.astype(x.dtype, copy=False)
     if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
         out = np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, c_out, oh, ow)
-    elif groups == 1:
-        out = _dense_forward(x, w, stride, padding, oh, ow)
-    elif groups == c == c_out:
-        out = _depthwise_forward(x, w[:, 0], stride, padding, oh, ow)
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
-        wg = w.reshape(groups, c_out // groups, cg_in, kh, kw)
-        out = np.zeros((n, groups, c_out // groups, oh * ow), dtype=x.dtype)
-        for i, j, win in _taps(kh, kw, stride, oh, ow):
-            out += np.matmul(wg[..., i, j], xp[win].reshape(n, groups, cg_in, oh * ow))
-        out = out.reshape(n, c_out, oh, ow)
+        out = _grouped_forward(x, w, stride, padding, groups, oh, ow)
     if b is not None:
         b = b.astype(x.dtype, copy=False)
         out += b[None, :, None, None] if b.ndim == 1 else b[None]

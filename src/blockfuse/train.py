@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .autodiff import MaskState, backward, forward_masked
+from .autodiff import MaskState, backward, forward_masked, forward_untaped
 from .errors import FormatError, GraphError, ShapeError
 from .graph import LatencyTable, NetGraph, checked_mask
 
@@ -166,7 +166,7 @@ def accuracy(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
              mask_state: Optional[MaskState] = None, batch_size: int = 64) -> float:
     hits = 0
     for xb, yb in _batches(dataset, batch_size):
-        out, _ = forward_masked(graph, params, mask_state, xb)
+        out = forward_untaped(graph, params, mask_state, xb)
         hits += int((np.argmax(_logits(out), axis=1) == yb).sum())
     return hits / len(dataset[0])
 
@@ -258,7 +258,7 @@ def finetune(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Dataset,
             loss, dlogits = cross_entropy(logits, yb, cfg.label_smoothing)
             if cfg.distill == "on" and teacher is not None and cfg.distill_alpha > 0:
                 t_graph, t_params = teacher
-                t_out, _ = forward_masked(t_graph, t_params, None, xb)
+                t_out = forward_untaped(t_graph, t_params, None, xb)
                 kd_loss, kd_grad = distill_divergence(
                     logits, _logits(t_out), cfg.distill_temperature)
                 loss += cfg.distill_alpha * kd_loss

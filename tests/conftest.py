@@ -57,6 +57,8 @@ CONV_CASES = [
     pytest.param(2, 6, 6, (3, 1), 2, 1, 6, True, np.float64, id="depthwise-3x1-s2-p1"),
     pytest.param(2, 4, 6, (3, 1), 2, 1, 1, True, np.float64, id="dense-3x1-s2-p1"),
     pytest.param(2, 4, 6, 3, 1, 1, 1, True, np.float32, id="dense-f32"),
+    pytest.param(2, 6, 6, 3, 2, 1, 6, True, np.float32, id="depthwise-f32"),
+    pytest.param(2, 6, 9, 3, 2, 1, 3, True, np.float32, id="grouped-f32"),
 ]
 
 # largest error allowed against `conv_oracle` (which sums in f64) per input dtype

@@ -6,6 +6,7 @@ from blockfuse.autodiff import (
     backward,
     extract_params,
     forward_masked,
+    forward_untaped,
     topk_binarize,
 )
 from blockfuse.core import Tensor, conv_backward, conv_forward
@@ -96,6 +97,20 @@ class TestForwardMasked:
                 assert gated == {aid: (b.block_id, 1.0) for b in graph.blocks
                                  for aid in b.act_node_ids}
 
+    def test_untaped_forward_matches_taped(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        for graph in (toy_irb(2, seed=1), mobilenet_v2(1.0, image_size=32, seed=1)):
+            params = {k: v + 0.1 if k.endswith(".beta") else v
+                      for k, v in extract_params(graph).items()}
+            x = rng.standard_normal((2,) + tuple(graph.input_dims[1:]))
+            x_before = x.copy()
+            n = len(graph.blocks)
+            for state in (None, MaskState.fresh(n, n // 2),
+                          FractionalMask(np.full(n, 0.5), 0, np.ones(n))):
+                taped, _ = forward_masked(graph, params, state, x)
+                assert np.array_equal(forward_untaped(graph, params, state, x), taped)
+            np.testing.assert_array_equal(x, x_before)
+
     def test_zero_gate_bypasses_activation(self):
         graph = toy_irb(1, seed=1)
         params = extract_params(graph)
@@ -121,9 +136,10 @@ class TestForwardMasked:
 
     def test_mask_length_check(self):
         graph = toy_irb(2, seed=1)
-        with pytest.raises(GraphError):
-            forward_masked(graph, extract_params(graph), MaskState.fresh(3, 1),
-                           np.zeros((1, 3, 8, 8)))
+        for forward in (forward_masked, forward_untaped):
+            with pytest.raises(GraphError):
+                forward(graph, extract_params(graph), MaskState.fresh(3, 1),
+                        np.zeros((1, 3, 8, 8)))
 
 
 class TestConvBackward:

@@ -178,6 +178,30 @@ class TestErrorHandling:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFound"
 
+    @pytest.mark.parametrize("command", ["cost", "shrink", "verify", "verify-after"])
+    def test_missing_named_weights_exit_1(self, tmp_path, capsys, command):
+        a = _gen(tmp_path, seed=0)
+        b = tmp_path / "other"
+        assert run(["gen-fixture", "toy-irb-2", "--out", str(b), "--seed", "9"]) == 0
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 1], mask)
+        nope = str(tmp_path / "nope.dswt")
+        argv = {
+            "cost": ["cost", "--graph", str(a), "--weights", nope],
+            "shrink": ["shrink", "--graph", str(a), "--weights", nope, "--mask", str(mask),
+                       "--out", str(tmp_path / "shrunk")],
+            # two different networks, both on zero placeholders if the files were skipped
+            "verify": ["verify", "--before", str(a), "--after", str(b), "--tol", "1e-10",
+                       "--before-weights", nope, "--after-weights", nope + "2"],
+            "verify-after": ["verify", "--before", str(a), "--after", str(a),
+                             "--after-weights", nope],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFound" and "nope.dswt" in err["message"]
+        assert not (tmp_path / "shrunk").exists()
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["shrink"])  # missing required arguments

@@ -121,45 +121,43 @@ class TestConv:
         assert out.precision == "f32"
 
 
-DEPTHWISE_CASES = [p for p in CONV_CASES if p.values[1] == p.values[2] == p.values[6]]
+# every case that `conv_forward` sends to the blocked kernel: all but the plain 1x1
+BLOCKED_CASES = [p for p in CONV_CASES if p.values[3:7] != (1, 1, 0, 1)]
 
 
-def _small_blocks(monkeypatch, x, padding):
-    """Shrink the depthwise block budget so the n*c rows of x run in several blocks,
+def _small_blocks(monkeypatch, x, layer):
+    """Shrink the block budget so the n*groups rows of x run in several blocks,
     the last one partial."""
     n, c, h, w = x.shape
-    rows = n * c
+    rows, cg_in, pad = n * layer.groups, c // layer.groups, layer.padding
+    oh, ow = layer_out_dims(layer, x.shape)[2:]
+    taps = layer.kernel_h * layer.kernel_w
+    row_bytes = cg_in * ((h + 2 * pad) * (w + 2 * pad) + taps * oh * ow) * x.itemsize
     block = next(b for b in range(2, rows) if rows % b)
-    monkeypatch.setattr(core, "_DW_BLOCK_BYTES",
-                        block * (h + 2 * padding) * (w + 2 * padding) * x.itemsize)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block * row_bytes)
 
 
 class TestDepthwiseBlocking:
+    """The blocked im2col kernel, which runs every conv but the plain 1x1 one."""
+
     @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype",
-                             DEPTHWISE_CASES)
+                             BLOCKED_CASES)
     def test_small_blocks_match_default_and_oracle(self, rng, monkeypatch, n, c_in, c_out,
                                                    k, stride, padding, groups, bias, dtype):
-        x = rng.standard_normal((n, c_in, 7, 7))
+        # three samples at least, so a dense conv (one row per sample) has a
+        # partial last block too
+        x = rng.standard_normal((max(n, 3), c_in, 7, 7)).astype(dtype)
         x_before = x.copy()
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups, bias=bias)
         default = conv2d(x, layer)
-        _small_blocks(monkeypatch, x, padding)
+        _small_blocks(monkeypatch, x, layer)
         blocked = conv2d(x, layer)
+        assert blocked.dtype == dtype
         assert np.array_equal(blocked, default)
-        expected = conv_oracle(x, layer.weights, layer.bias, stride, padding, groups)
-        assert np.max(np.abs(blocked - expected)) <= 1e-12
-        np.testing.assert_array_equal(x, x_before)
-
-    def test_f32_input_gives_f32_output(self, rng, monkeypatch):
-        x = rng.standard_normal((2, 6, 7, 7)).astype(np.float32)
-        x_before = x.copy()
-        layer = random_conv(rng, 6, 6, 3, stride=2, padding=1, groups=6, bias=True)
-        _small_blocks(monkeypatch, x, 1)
-        out = conv2d(x, layer)
-        assert out.dtype == np.float32
-        expected = conv_oracle(x.astype(np.float64), layer.weights, layer.bias, 2, 1, 6)
-        assert np.max(np.abs(out - expected)) <= 1e-5
+        expected = conv_oracle(x.astype(np.float64), layer.weights, layer.bias, stride,
+                               padding, groups)
+        assert np.max(np.abs(blocked - expected)) <= CONV_TOL[dtype]
         np.testing.assert_array_equal(x, x_before)
 
 
