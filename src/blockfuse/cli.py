@@ -68,9 +68,10 @@ def _load_dataset(args):
                                seed=args.seed)
 
 
-def _add_common(p):
+def _add_seed(p, precision: bool = False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
+    if precision:
+        p.add_argument("--precision", choices=("f32", "f64"), default="f64")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-fixture", help="write a named fixture network")
     p.add_argument("name")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p, precision=True)
 
     p = sub.add_parser("cost", help="FLOPs / footprint report")
     p.add_argument("--graph", required=True)
@@ -91,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency")
     p.add_argument("--bits", type=int, default=16)
     p.add_argument("--out")
-    _add_common(p)
 
     p = sub.add_parser("shrink", help="merge every mask-0 block to a dense conv")
     p.add_argument("--graph", required=True)
@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--free-act", action="store_true",
                    help="append a free ReLU6 after each merged conv")
-    _add_common(p)
 
     p = sub.add_parser("verify", help="numerical equivalence of two graphs")
     p.add_argument("--before", required=True)
@@ -110,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out")
-    _add_common(p)
+    _add_seed(p, precision=True)
 
     p = sub.add_parser("search", help="differentiable top-k activation search")
     p.add_argument("--graph", required=True)
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-samples", type=int, default=128)
     p.add_argument("--image-size", type=int, default=8)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("finetune", help="fine-tune a mask-applied network")
     p.add_argument("--graph", required=True)
@@ -145,13 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-samples", type=int, default=128)
     p.add_argument("--image-size", type=int, default=8)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("expand", help="expand convs into mergeable IRBs")
     p.add_argument("--graph", required=True)
     p.add_argument("--weights")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
     return parser
 
 
@@ -288,9 +287,9 @@ def run(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}),
-              file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a path through a file
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     Activation,
     ActivationKind,
-    Add,
     AvgPool,
     BatchNormLayer,
     ConvLayer,
@@ -24,7 +23,7 @@ from .core import (
     Linear,
 )
 from .errors import GraphError
-from .graph import BlockAnnotation, NetGraph, Node, validate_graph
+from .graph import BlockAnnotation, NetGraph, Node, irb, validate_graph
 
 # Reference mask vectors (1 = activations kept) for the MobileNetV2
 # fixtures; rows are directly usable as structural fixtures.
@@ -63,11 +62,11 @@ class _Builder:
         self.input_dims = tuple(input_dims)
         self.tail: Tuple[str, ...] = ()
 
-    def _conv_weights(self, c_out, c_in_per_group, kh, kw):
+    def _conv_weights(self, c_out, c_in_per_group, k):
         # gain-1 init keeps magnitudes O(1) even when all activations are
         # masked off and the network is fully linear
-        fan_in = c_in_per_group * kh * kw
-        return self.rng.standard_normal((c_out, c_in_per_group, kh, kw)) * \
+        fan_in = c_in_per_group * k * k
+        return self.rng.standard_normal((c_out, c_in_per_group, k, k)) * \
             np.sqrt(1.0 / fan_in)
 
     def _bn(self, c):
@@ -81,11 +80,9 @@ class _Builder:
         self.tail = (node_id,)
         return node_id
 
-    def conv(self, node_id, c_in, c_out, k, stride, groups=1, padding=None):
-        padding = (k - 1) // 2 if padding is None else padding
-        layer = ConvLayer(k, k, stride, padding, groups, c_in, c_out,
-                          self._conv_weights(c_out, c_in // groups, k, k))
-        return self.add(node_id, layer)
+    def conv(self, node_id, c_in, c_out, k, stride):
+        return self.add(node_id, ConvLayer(k, k, stride, (k - 1) // 2, 1, c_in, c_out,
+                                           self._conv_weights(c_out, c_in, k)))
 
     def bn(self, node_id, c):
         return self.add(node_id, self._bn(c))
@@ -95,28 +92,12 @@ class _Builder:
 
     def irb(self, prefix: str, c_in: int, c_out: int, expand_ratio: float,
             dw_kernel: int, stride: int) -> None:
-        hidden = int(round(c_in * expand_ratio))
-        residual = stride == 1 and c_in == c_out
-        skip_src = self.tail
-        ids = []
-        ids.append(self.conv(f"{prefix}_pw1", c_in, hidden, 1, 1))
-        ids.append(self.bn(f"{prefix}_bn1", hidden))
-        ids.append(self.act(f"{prefix}_act1"))
-        ids.append(self.conv(f"{prefix}_dw", hidden, hidden, dw_kernel, stride,
-                             groups=hidden))
-        ids.append(self.bn(f"{prefix}_bn2", hidden))
-        ids.append(self.act(f"{prefix}_act2"))
-        ids.append(self.conv(f"{prefix}_pw2", hidden, c_out, 1, 1))
-        ids.append(self.bn(f"{prefix}_bn3", c_out))
-        if residual:
-            ids.append(self.add(f"{prefix}_add", Add(),
-                                (ids[-1],) + tuple(skip_src)))
-        self.blocks.append(BlockAnnotation(
-            block_id=len(self.blocks), kind="inverted_residual",
-            node_ids=tuple(ids), expand_ratio=float(expand_ratio),
-            dw_kernel=dw_kernel, stride=stride, has_residual=residual,
-            act_node_ids=(f"{prefix}_act1", f"{prefix}_act2"),
-        ))
+        nodes, block = irb(prefix, self.tail, c_in, c_out, expand_ratio, dw_kernel,
+                           stride, stride == 1 and c_in == c_out, len(self.blocks),
+                           self._conv_weights, self._bn)
+        self.nodes.extend(nodes)
+        self.blocks.append(block)
+        self.tail = (nodes[-1].node_id,)
 
     def build(self, metadata: Dict[str, str]) -> NetGraph:
         graph = NetGraph(tuple(self.nodes), self.input_dims, tuple(self.blocks),

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import (
     Activation,
@@ -69,6 +69,69 @@ class NetGraph:
 # The canonical op sequence of an inverted residual block (Add optional at the end).
 IRB_PATTERN = (ConvLayer, BatchNormLayer, Activation, ConvLayer, BatchNormLayer,
                Activation, ConvLayer, BatchNormLayer)
+
+
+def irb(prefix: str, inputs: Tuple[str, ...], c_in: int, c_out: int,
+        expand_ratio: float, dw_kernel: int, stride: int, residual: bool,
+        block_id: int, conv_weights: Callable, bn: Callable
+        ) -> Tuple[List[Node], BlockAnnotation]:
+    """The nodes of one IRB_PATTERN block that reads `inputs` (plus an Add of its
+    input when `residual`) and the block's annotation. `conv_weights(c_out,
+    c_in_per_group, k)` and `bn(channels)` make the layers, called in node order."""
+    hidden = int(round(c_in * expand_ratio))
+    pad = (dw_kernel - 1) // 2
+    relu6 = Activation(ActivationKind.RELU6)
+    layers = {
+        "pw1": ConvLayer(1, 1, 1, 0, 1, c_in, hidden, conv_weights(hidden, c_in, 1)),
+        "bn1": bn(hidden),
+        "act1": relu6,
+        "dw": ConvLayer(dw_kernel, dw_kernel, stride, pad, hidden, hidden, hidden,
+                        conv_weights(hidden, 1, dw_kernel)),
+        "bn2": bn(hidden),
+        "act2": relu6,
+        "pw2": ConvLayer(1, 1, 1, 0, 1, hidden, c_out, conv_weights(c_out, hidden, 1)),
+        "bn3": bn(c_out),
+    }
+    nodes: List[Node] = []
+    for name, layer in layers.items():
+        nodes.append(Node(f"{prefix}_{name}", layer,
+                          (nodes[-1].node_id,) if nodes else tuple(inputs)))
+    if residual:
+        nodes.append(Node(f"{prefix}_add", Add(), (nodes[-1].node_id,) + tuple(inputs)))
+    annotation = BlockAnnotation(
+        block_id, "inverted_residual", tuple(n.node_id for n in nodes),
+        float(expand_ratio), dw_kernel, stride, residual,
+        (f"{prefix}_act1", f"{prefix}_act2"))
+    return nodes, annotation
+
+
+def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> NetGraph:
+    """Replace the nodes of `span` (its exit last) with `new_nodes`, placed where
+    the span's first node was. Nodes outside the span that read the exit read the
+    new tail instead, and every block that holds the span lists the new ids in
+    its place."""
+    members = set(span)
+    new_ids = tuple(n.node_id for n in new_nodes)
+    exit_id, tail = span[-1], new_ids[-1]
+    nodes: List[Node] = []
+    for n in graph.nodes:
+        if n.node_id == span[0]:
+            nodes.extend(new_nodes)
+        elif n.node_id not in members:
+            nodes.append(replace(n, input_ids=tuple(
+                tail if ref == exit_id else ref for ref in n.input_ids)))
+    blocks = []
+    for b in graph.blocks:
+        if members <= set(b.node_ids):
+            ids: List[str] = []
+            for nid in b.node_ids:
+                if nid == span[0]:
+                    ids.extend(new_ids)
+                elif nid not in members:
+                    ids.append(nid)
+            b = replace(b, node_ids=tuple(ids))
+        blocks.append(b)
+    return replace(graph, nodes=tuple(nodes), blocks=tuple(blocks))
 
 
 def topological_order(graph: NetGraph) -> List[Node]:

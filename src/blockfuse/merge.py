@@ -45,6 +45,7 @@ from .graph import (
     apply_mask_vector,
     checked_mask,
     execute_graph,
+    splice,
     validate_graph,
 )
 
@@ -326,76 +327,41 @@ def shrink_graph(graph: NetGraph, mask,
 
 def _splice_merged(graph: NetGraph, block: BlockAnnotation, conv: ConvLayer,
                    free_activation: Optional[ActivationKind]) -> NetGraph:
-    index = graph.node_index
-    members = set(block.node_ids)
-    entry = index[block.node_ids[0]]
-    external = tuple(i for i in entry.input_ids if i not in members)
-    exit_id = block.node_ids[-1]
-
     conv_id = f"block{block.block_id}_merged"
-    new_nodes: List[Node] = [Node(conv_id, conv, external)]
-    tail_id = conv_id
+    new_nodes = [Node(conv_id, conv, graph.node(block.node_ids[0]).input_ids)]
     if free_activation is not None:
-        act_id = f"block{block.block_id}_act"
-        new_nodes.append(Node(act_id, Activation(free_activation), (conv_id,)))
-        tail_id = act_id
+        new_nodes.append(Node(f"block{block.block_id}_act", Activation(free_activation),
+                              (conv_id,)))
+    work = splice(graph, block.node_ids, new_nodes)
+    merged = BlockAnnotation(block.block_id, "plain_conv",
+                             tuple(n.node_id for n in new_nodes), 1.0, conv.kernel_h,
+                             conv.stride, False, ())
+    return _put_block(work, merged)
 
-    nodes: List[Node] = []
-    inserted = False
-    for n in graph.nodes:
-        if n.node_id in members:
-            if not inserted:
-                nodes.extend(new_nodes)
-                inserted = True
-            continue
-        inputs = tuple(tail_id if ref == exit_id else ref for ref in n.input_ids)
-        nodes.append(replace(n, input_ids=inputs))
 
-    new_ids = tuple(n.node_id for n in new_nodes)
-    blocks: List[BlockAnnotation] = []
-    for b in graph.blocks:
-        if b.block_id == block.block_id:
-            blocks.append(BlockAnnotation(
-                b.block_id, "plain_conv", new_ids, 1.0, conv.kernel_h, conv.stride,
-                False, (),
-            ))
-        elif members & set(b.node_ids):
-            # containing block: replace the merged span with the new nodes
-            ids: List[str] = []
-            for nid in b.node_ids:
-                if nid in members:
-                    if not any(i in ids for i in new_ids):
-                        ids.extend(new_ids)
-                else:
-                    ids.append(nid)
-            blocks.append(replace(b, node_ids=tuple(ids)))
-        else:
-            blocks.append(b)
-    return replace(graph, nodes=tuple(nodes), blocks=tuple(blocks))
+def _put_block(graph: NetGraph, block: BlockAnnotation) -> NetGraph:
+    return replace(graph, blocks=tuple(block if b.block_id == block.block_id else b
+                                       for b in graph.blocks))
 
 
 def insert_free_activations(graph: NetGraph, mask,
                             kind: ActivationKind = ActivationKind.RELU6) -> NetGraph:
     """Append a free activation after every mask-0 (to-be-merged) block.
 
-    The new nodes live outside the block annotations, so the blocks stay
-    mergeable and the activation survives the merge as a post-conv op.
+    The new node lies outside the block's own annotation, so the block stays
+    mergeable and the activation survives the merge as a post-conv op. A block
+    that holds the masked one (an expanded graph's nested block) lists the new
+    node after the nested exit, so it can merge only with its activations kept.
     """
     mask = checked_mask(graph, mask)
     work = graph
     for block in sorted(graph.blocks, key=lambda b: b.block_id):
         if mask[block.block_id] == 1:
             continue
-        exit_id = block.node_ids[-1]
-        act_id = f"block{block.block_id}_free_act"
-        nodes: List[Node] = []
-        for n in work.nodes:
-            nodes.append(replace(n, input_ids=tuple(
-                act_id if ref == exit_id and n.node_id not in block.node_ids else ref
-                for ref in n.input_ids)))
-            if n.node_id == exit_id:
-                nodes.append(Node(act_id, Activation(kind), (exit_id,)))
-        work = replace(work, nodes=tuple(nodes))
+        own = next(b for b in work.blocks if b.block_id == block.block_id)
+        exit_id = own.node_ids[-1]
+        act = Node(f"block{block.block_id}_free_act", Activation(kind), (exit_id,))
+        work = _put_block(splice(work, (exit_id,), [work.node(exit_id), act]), own)
     validate_graph(work)
     return work
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockfuse import io
-from blockfuse.cli import run
+from blockfuse.cli import build_parser, run
 
 
 def _gen(tmp_path, name="toy-irb-2", seed=0):
@@ -162,6 +162,23 @@ class TestSearchFinetune:
                     "--tol", "1e-10"]) == 0
 
 
+    def test_free_act_finetune_of_an_expanded_graph_shrinks_exactly(self, tmp_path):
+        out = _gen(tmp_path)
+        expanded = tmp_path / "expanded"
+        assert run(["expand", "--graph", str(out), "--out", str(expanded)]) == 0
+        mask = tmp_path / "mask.json"
+        io.save_mask([1, 0, 1], mask)  # block 1 is nested in block 0
+        res = tmp_path / "ft"
+        assert run(["finetune", "--graph", str(expanded), "--mask", str(mask),
+                    "--free-act", "--epochs", "1", "--data-samples", "16",
+                    "--out", str(res)]) == 0
+        shrunk = tmp_path / "shrunk"
+        assert run(["shrink", "--graph", str(res), "--mask", str(mask),
+                    "--out", str(shrunk)]) == 0
+        assert run(["verify", "--before", str(res), "--after", str(shrunk),
+                    "--tol", "1e-10"]) == 0
+
+
 class TestExpand:
     def test_expand_vgg_adds_blocks(self, tmp_path, capsys):
         out = _gen(tmp_path, name="vgg-toy")
@@ -201,6 +218,38 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFound" and "nope.dswt" in err["message"]
         assert not (tmp_path / "shrunk").exists()
+
+    @pytest.mark.parametrize("graph,weights,error", [
+        ("net", "net", "IsADirectoryError"),
+        ("net/graph.json/x", None, "NotADirectoryError"),
+    ], ids=["directory-weights", "path-through-file"])
+    def test_unreadable_path_exits_1(self, tmp_path, capsys, graph, weights, error):
+        _gen(tmp_path)
+        argv = ["cost", "--graph", str(tmp_path / graph)]
+        if weights:
+            argv += ["--weights", str(tmp_path / weights)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize("command,option", [
+        ("cost", "--seed"), ("cost", "--precision"), ("shrink", "--seed"),
+        ("shrink", "--precision"), ("search", "--precision"),
+        ("finetune", "--precision"), ("expand", "--precision"),
+    ])
+    def test_options_a_command_does_not_read_exit_2(self, command, option):
+        argv = {
+            "cost": ["cost", "--graph", "g"],
+            "shrink": ["shrink", "--graph", "g", "--mask", "m", "--out", "o"],
+            "search": ["search", "--graph", "g", "--k", "1", "--out", "o"],
+            "finetune": ["finetune", "--graph", "g", "--mask", "m", "--out", "o"],
+            "expand": ["expand", "--graph", "g", "--out", "o"],
+        }[command]
+        build_parser().parse_args(argv)  # the rest of the command line is fine
+        value = "f32" if option == "--precision" else "1"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [option, value])
+        assert exc.value.code == 2
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 import struct
 import tracemalloc
 
@@ -17,8 +18,10 @@ from blockfuse.core import (
     Tensor,
 )
 from blockfuse.errors import FormatError, GraphError
+from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import generate, mobilenet_v2, toy_irb, vgg_toy
 from blockfuse.graph import (
+    IRB_PATTERN,
     BlockAnnotation,
     LatencyTable,
     NetGraph,
@@ -26,6 +29,8 @@ from blockfuse.graph import (
     apply_mask_vector,
     execute_graph,
     graph_sink,
+    irb,
+    splice,
     topological_order,
     validate_graph,
 )
@@ -93,6 +98,86 @@ class TestGraphStructure:
         bad = replace(g.blocks[0], has_residual=False)
         with pytest.raises(GraphError, match="has_residual"):
             validate_graph(NetGraph(g.nodes, g.input_dims, (bad,), {}))
+
+
+class TestSpliceAndIrb:
+    def test_splice_of_a_nested_block(self, rng):
+        # block 1 (the expansion of b0_pw1) is nested in block 0; block 2 is disjoint
+        g = expand_for_training(toy_irb(2, seed=0), seed=1)
+        outer, nested, other = g.blocks
+        span = nested.node_ids
+        before = [n.node_id for n in g.nodes]
+        entry = g.node(span[0])
+        new_nodes = [Node("m", random_conv(rng, 8, 16, 1), entry.input_ids),
+                     Node("m_act", Activation(ActivationKind.RELU), ("m",))]
+        out = splice(g, span, new_nodes)
+
+        ids = [n.node_id for n in out.nodes]
+        at = before.index(span[0])
+        assert ids[at:at + 2] == ["m", "m_act"]
+        assert ids[:at] == before[:at]
+        assert ids[at + 2:] == [nid for nid in before[at:] if nid not in span]
+        assert out.node("m").input_ids == entry.input_ids
+        # the one outside reader of the nested exit reads the new tail
+        readers = [n.node_id for n in g.nodes if span[-1] in n.input_ids]
+        assert readers == ["b0_bn1"]
+        assert out.node("b0_bn1").input_ids == ("m_act",)
+        for n in out.nodes:
+            if n.node_id not in ("m", "m_act", "b0_bn1"):
+                assert n == g.node(n.node_id)
+        # the containing block lists the new ids in place; the disjoint one is as it was
+        assert out.blocks[0].node_ids == ("m", "m_act") + outer.node_ids[len(span):]
+        assert outer.node_ids[:len(span)] == span
+        assert out.blocks[1].node_ids == ("m", "m_act")
+        assert out.blocks[2] == other
+        merged = replace(out.blocks[1], kind="plain_conv", act_node_ids=())
+        validate_graph(replace(out, blocks=(out.blocks[0], merged, out.blocks[2])))
+
+    def test_splice_of_one_node_keeps_it_in_place(self):
+        g = toy_irb(2, seed=0)
+        act = Node("extra", Activation(ActivationKind.IDENTITY), ("b0_add",))
+        out = splice(g, ("b0_add",), [g.node("b0_add"), act])
+        ids = [n.node_id for n in out.nodes]
+        assert ids[ids.index("b0_add") + 1] == "extra"
+        assert out.node("b1_pw1").input_ids == ("extra",)
+        assert out.node("b1_add").input_ids == ("b1_bn3", "extra")
+        assert out.blocks[0].node_ids == g.blocks[0].node_ids + ("extra",)
+        assert out.blocks[1] == g.blocks[1]
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_irb_follows_the_pattern(self, residual):
+        calls = []
+
+        def conv_weights(c_out, c_in_per_group, k):
+            calls.append(("conv", c_out, c_in_per_group, k))
+            return np.ones((c_out, c_in_per_group, k, k))
+
+        def bn(c):
+            calls.append(("bn", c))
+            return random_bn(np.random.Generator(np.random.PCG64(0)), c)
+
+        c_out = 4 if residual else 6
+        nodes, block = irb("x", ("stem",), 4, c_out, 2.0, 3, 1, residual, 0,
+                           conv_weights, bn)
+        assert tuple(type(n.layer) for n in nodes[:8]) == IRB_PATTERN
+        assert calls == [("conv", 8, 4, 1), ("bn", 8), ("conv", 8, 1, 3), ("bn", 8),
+                         ("conv", c_out, 8, 1), ("bn", c_out)]
+        assert nodes[3].layer.groups == 8 and nodes[3].layer.padding == 1
+        assert nodes[0].input_ids == ("stem",)
+        for prev, cur in zip(nodes[:8], nodes[1:8]):
+            assert cur.input_ids == (prev.node_id,)
+        if residual:
+            assert len(nodes) == 9 and isinstance(nodes[8].layer, Add)
+            assert nodes[8].input_ids == ("x_bn3", "stem")
+        else:
+            assert len(nodes) == 8
+        assert block.node_ids == tuple(n.node_id for n in nodes)
+        assert block.act_node_ids == ("x_act1", "x_act2")
+        assert (block.kind, block.expand_ratio, block.dw_kernel, block.stride,
+                block.has_residual) == ("inverted_residual", 2.0, 3, 1, residual)
+        g = NetGraph((Node("stem", identity_conv(4), ()),) + tuple(nodes),
+                     (1, 4, 6, 6), (block,), {})
+        validate_graph(g)
 
 
 class TestExecuteAndMask:

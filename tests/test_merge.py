@@ -338,6 +338,29 @@ class TestInsertFreeActivations:
         assert verify_equivalence(masked, same, 2, 1e-12, seed=0).passed
 
 
+    def test_free_activation_after_a_nested_block(self):
+        from blockfuse.expand import expand_for_training
+        from blockfuse.graph import apply_mask_vector
+        # block 1 (the expansion of b0_pw1) is nested in block 0
+        g = expand_for_training(toy_irb(2, seed=3), seed=1)
+        mask = [1, 0, 1]
+        with_acts = insert_free_activations(apply_mask_vector(g, mask), mask)
+        outer, nested, _ = with_acts.blocks
+        assert nested == g.blocks[1]
+        at = outer.node_ids.index(nested.node_ids[-1])
+        assert outer.node_ids[at + 1] == "block1_free_act"
+        assert with_acts.node("b0_bn1").input_ids == ("block1_free_act",)
+        shrunk, _ = shrink_graph(with_acts, mask)
+        assert verify_equivalence(with_acts, shrunk, 3, 1e-10, seed=0).passed
+
+    def test_free_activation_inside_a_masked_block_refuses_its_merge(self):
+        from blockfuse.expand import expand_for_training
+        g = expand_for_training(toy_irb(2, seed=3), seed=1)
+        with_acts = insert_free_activations(g, [0, 0, 1])
+        with pytest.raises(MergeError, match="block1_free_act"):
+            shrink_graph(with_acts, [0, 0, 1])
+
+
 class TestVerifyEquivalence:
     def test_detects_difference(self, rng):
         a = irb_graph(rng, 3, 3, 2, 3, 1, residual=False)
