@@ -93,12 +93,13 @@ class GradTape:
     n_blocks: int
 
 
-def _act_grad(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
+def _act_grad(kind: ActivationKind, z: np.ndarray) -> Optional[np.ndarray]:
+    """d act(z) / dz as a boolean mask; None for the identity, whose slope is 1."""
     if kind is ActivationKind.RELU:
-        return (z > 0).astype(z.dtype)
+        return z > 0
     if kind is ActivationKind.RELU6:
-        return ((z > 0) & (z < 6)).astype(z.dtype)
-    return np.ones_like(z)
+        return (z > 0) & (z < 6)
+    return None
 
 
 def _slots_and_gates(graph: NetGraph, mask_state: Optional[MaskState]
@@ -171,19 +172,26 @@ def backward(tape: GradTape, loss_grad: np.ndarray
                 accumulate(f"{nid}.bias", db if layer.bias.ndim == 1 else dout.sum(axis=0))
             dins = [dx]
         elif isinstance(layer, BatchNormLayer):
+            # d gamma = sum(dout * xhat) from per-channel sums, with no xhat tensor
             inv_std = 1.0 / np.sqrt(layer.running_var + layer.epsilon)
-            xhat = (entry.inputs[0] - layer.running_mean[None, :, None, None]) * \
-                inv_std[None, :, None, None]
-            accumulate(f"{nid}.gamma", np.einsum("nchw,nchw->c", dout, xhat))
-            accumulate(f"{nid}.beta", dout.sum(axis=(0, 2, 3)))
+            dsum = dout.sum(axis=(0, 2, 3))
+            dx_sum = np.einsum("nchw,nchw->c", dout, entry.inputs[0])
+            accumulate(f"{nid}.gamma", (dx_sum - layer.running_mean * dsum) * inv_std)
+            accumulate(f"{nid}.beta", dsum)
             dins = [dout * (layer.gamma * inv_std)[None, :, None, None]]
         elif isinstance(layer, Activation):
-            z = entry.inputs[0]
-            dact = _act_grad(layer.kind, z)
+            # dout * (g * dact + (1 - g)), which is dout at a gate of 0 and
+            # dout * dact at a gate of 1 (or none), bit for bit
+            z, g = entry.inputs[0], entry.gate
             if entry.slot is not None:
-                g = entry.gate
-                m_grad[entry.slot] += float(np.sum(dout * (layer.kind.apply(z) - z)))
+                m_grad[entry.slot] += float(np.vdot(dout, layer.kind.apply(z)) -
+                                            np.vdot(dout, z))
+            dact = _act_grad(layer.kind, z)
+            if g not in (None, 0.0, 1.0):
+                dact = np.ones_like(z) if dact is None else dact.astype(z.dtype)
                 dins = [dout * (g * dact + (1.0 - g))]
+            elif g == 0.0 or dact is None:
+                dins = [dout]
             else:
                 dins = [dout * dact]
         elif isinstance(layer, AvgPool):

@@ -4,8 +4,10 @@ Convolution is one shared forward/backward kernel pair, used by both the
 executor and autodiff. The forward is one matmul for a plain 1x1 conv and
 im2col plus a batched matmul over cache-sized blocks of (sample, group) rows
 for every other conv; the backward loops over kernel taps, never over
-groups. The brute-force `conv_oracle` in the tests is the reference both are
-checked against. Default precision is f64; f32 exists only to emulate
+groups. The depthwise backward runs channels-last (n, h, w, c): at the 1-16 px
+sizes of training, each strided op then loops over all channels instead of a
+short image row. The brute-force `conv_oracle` in the tests is the reference
+both are checked against. Default precision is f64; f32 exists only to emulate
 deployment error.
 """
 from __future__ import annotations
@@ -281,21 +283,28 @@ def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
         dw = np.tensordot(d, x.reshape(n, c, h * wd), axes=([0, 2], [0, 2]))
         dx = np.matmul(w[:, :, 0, 0].T, d).reshape(x.shape)
         return dx, dw.reshape(w.shape), db
-    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
-    dxp = np.zeros_like(xp)
     dw = np.empty(w.shape, dtype=w.dtype)
     if groups == c == c_out:
+        # channels-last: each strided op loops over c contiguous values
+        xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + wd] = x.transpose(0, 2, 3, 1)
+        dl = np.ascontiguousarray(dout.transpose(0, 2, 3, 1))
+        dxp = np.zeros_like(xp)
         for i, j, win in _taps(kh, kw, stride, oh, ow):
-            dw[:, 0, i, j] = np.einsum("ncyx,ncyx->c", dout, xp[win])
-            dxp[win] += dout * w[:, 0, i, j, None, None]
-    else:
-        d = dout.reshape(n, groups, c_out // groups, oh * ow)
-        wg = w.reshape(groups, c_out // groups, cg_in, kh, kw)
-        dwg = dw.reshape(wg.shape)
-        for i, j, win in _taps(kh, kw, stride, oh, ow):
-            patch = xp[win].reshape(n, groups, cg_in, oh * ow)
-            dwg[..., i, j] = np.matmul(d, patch.swapaxes(-1, -2)).sum(axis=0)
-            dxp[win] += np.matmul(wg[..., i, j].swapaxes(-1, -2), d).reshape(n, c, oh, ow)
+            win = win[1:]  # the tap's (n, y, x) window of a channels-last array
+            dw[:, 0, i, j] = np.einsum("nyxc,nyxc->c", dl, xp[win])
+            dxp[win] += dl * w[:, 0, i, j]
+        dx = dxp[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
+        return dx, dw, db
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
+    dxp = np.zeros_like(xp)
+    d = dout.reshape(n, groups, c_out // groups, oh * ow)
+    wg = w.reshape(groups, c_out // groups, cg_in, kh, kw)
+    dwg = dw.reshape(wg.shape)
+    for i, j, win in _taps(kh, kw, stride, oh, ow):
+        patch = xp[win].reshape(n, groups, cg_in, oh * ow)
+        dwg[..., i, j] = np.matmul(d, patch.swapaxes(-1, -2)).sum(axis=0)
+        dxp[win] += np.matmul(wg[..., i, j].swapaxes(-1, -2), d).reshape(n, c, oh, ow)
     dx = dxp[:, :, padding : h + padding, padding : wd + padding] if padding else dxp
     return dx, dw, db
 

@@ -4,7 +4,9 @@ turning convolutions into inverted residual blocks that merge back exactly.
 Rules (each target conv is spliced out for one `graph.irb` block):
   * plain 3x3 dense convs become IRB(e=6, k=3) with the conv's stride and a
     skip wherever the conv keeps its shape, skipping the first two convs and
-    the last conv of the network;
+    the last conv of the network. A conv that is a whole plain_conv block (as
+    `shrink_graph` leaves a merged block) is expanded and its block replaced;
+    a conv inside any other block is skipped;
   * in a network that is already made of inverted residual blocks, the
     first pointwise conv of every other block (even block index) becomes a
     nested IRB(e=6, k=1) without a skip, which the containing block lists
@@ -54,11 +56,15 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
         conv_ids = [n.node_id for n in topological_order(graph)
                     if isinstance(n.layer, ConvLayer) and n.layer.groups == 1
                     and n.layer.kernel_h == 3 and n.layer.kernel_w == 3]
-        targets, kernel = conv_ids[2:-1], 3
+        # a conv inside a block is a target only when it is the whole of a
+        # plain_conv block (a merged block), which the new block then replaces
+        held = {nid for b in graph.blocks if b.kind != "plain_conv" or len(b.node_ids) > 1
+                for nid in b.node_ids}
+        targets, kernel = [c for c in conv_ids[2:-1] if c not in held], 3
         if not targets:
             raise GraphError(
-                f"graph has only {len(conv_ids)} eligible 3x3 convs; nothing to "
-                "expand after excluding the first two and the last"
+                f"graph has only {len(conv_ids)} eligible 3x3 convs; nothing to expand "
+                "after excluding the first two, the last and those inside a block"
             )
     new_blocks = []
     for conv_id in targets:
@@ -71,7 +77,8 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
         nodes, block = irb(f"{conv_id}_exp", node.input_ids, conv.c_in, conv.c_out,
                            EXPAND_RATIO, kernel, conv.stride, residual, -1,
                            init_conv, _identity_bn)
-        graph = splice(graph, (conv_id,), nodes)
+        graph = splice(replace(graph, blocks=tuple(
+            b for b in graph.blocks if b.node_ids != (conv_id,))), (conv_id,), nodes)
         new_blocks.append(block)
     return _reindex_blocks(replace(graph, blocks=graph.blocks + tuple(new_blocks)))
 

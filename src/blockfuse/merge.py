@@ -373,6 +373,8 @@ class EquivalenceReport:
     max_rel_err: float
     passed: bool
     tol: float
+    worst_sample: int  # the sample and flat output index of max_abs_err
+    worst_index: int
 
     def to_json(self) -> dict:
         return {
@@ -381,6 +383,8 @@ class EquivalenceReport:
             "max_rel_err": self.max_rel_err,
             "pass": self.passed,
             "tol": self.tol,
+            "worst_sample": self.worst_sample,
+            "worst_index": self.worst_index,
         }
 
 
@@ -398,15 +402,19 @@ def verify_equivalence(g_before: NetGraph, g_after: NetGraph, n_samples: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     max_abs = 0.0
     max_rel = 0.0
-    for _ in range(n_samples):
+    worst = (0, 0)
+    for sample in range(n_samples):
         x = Tensor.of(rng.standard_normal(g_before.input_dims), precision=precision)
         a = execute_graph(g_before, x).data
         b = execute_graph(g_after, x).data
         if a.shape != b.shape:
             raise ShapeError(f"output dims differ: {a.shape} vs {b.shape}")
-        err = float(np.abs(a - b).max())
-        max_abs = max(max_abs, err)
+        diff = np.abs(a - b)
+        index = int(diff.argmax())  # the first NaN, if there is one
+        err = float(np.nan_to_num(diff.flat[index], nan=np.inf))  # NaN never passes
+        if err > max_abs:
+            max_abs, worst = err, (sample, index)
         # relative to the sample's largest output, so an exact 0 stays meaningful
         scale = max(float(np.abs(a).max()), np.finfo(a.dtype).tiny)
         max_rel = max(max_rel, err / scale)
-    return EquivalenceReport(n_samples, max_abs, max_rel, max_abs <= tol, tol)
+    return EquivalenceReport(n_samples, max_abs, max_rel, max_abs <= tol, tol, *worst)

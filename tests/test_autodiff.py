@@ -2,21 +2,31 @@ import numpy as np
 import pytest
 
 from blockfuse.autodiff import (
+    GradTape,
     MaskState,
+    TapeEntry,
     backward,
     extract_params,
     forward_masked,
     forward_untaped,
     topk_binarize,
 )
-from blockfuse.core import Tensor, conv_backward, conv_forward
+from blockfuse.core import (
+    Activation,
+    ActivationKind,
+    BatchNormLayer,
+    ConvLayer,
+    Tensor,
+    conv_backward,
+    conv_forward,
+)
 from blockfuse.errors import GraphError, NumericError, ShapeError
 from blockfuse.fixtures import mobilenet_v2, toy_irb
-from blockfuse.graph import execute_graph
+from blockfuse.graph import NetGraph, Node, execute_graph
 from blockfuse.io import bind_weights
 from blockfuse.merge import shrink_graph
 
-from conftest import CONV_CASES, CONV_TOL, random_conv
+from conftest import CONV_CASES, CONV_TOL, conv_oracle, random_conv
 
 
 class FractionalMask(MaskState):
@@ -142,22 +152,55 @@ class TestForwardMasked:
                         np.zeros((1, 3, 8, 8)))
 
 
+# (n, c_in, c_out, k, stride, padding, groups, dtype) at the 1-4 px sizes that
+# MobileNetV2's last stages reach at 32 px; at stride 2 on an even size the last
+# input row and column get no tap
+SMALL_CASES = [
+    pytest.param(2, 6, 6, 3, 1, 1, 6, np.float64, id="depthwise-s1"),
+    pytest.param(2, 6, 6, 3, 2, 1, 6, np.float64, id="depthwise-s2"),
+    pytest.param(3, 5, 5, 5, 1, 2, 5, np.float64, id="depthwise-k5"),
+    pytest.param(2, 6, 6, (3, 1), 2, 1, 6, np.float64, id="depthwise-3x1-s2"),
+    pytest.param(2, 6, 6, 3, 2, 1, 6, np.float32, id="depthwise-f32"),
+    pytest.param(2, 4, 8, 3, 1, 1, 4, np.float64, id="depthwise-multiplier-2"),
+]
+
+
+def _check_adjoint(rng, x, c_out, k, stride, padding, groups):
+    """conv is bilinear in (x, w), so <conv(x, w), d> == <x, dx> == <w, dw>; the
+    forward is checked against the oracle, and the backward leaves x and d alone."""
+    dtype = x.dtype.type
+    w = random_conv(rng, x.shape[1], c_out, k, stride, padding,
+                    groups).weights.astype(dtype)
+    y = conv_forward(x, w, None, stride, padding, groups)
+    assert np.max(np.abs(y - conv_oracle(x.astype(np.float64), w, None, stride,
+                                         padding, groups))) <= CONV_TOL[dtype]
+    d = rng.standard_normal(y.shape).astype(dtype)
+    x_before, d_before = x.copy(), d.copy()
+    dx, dw, db = conv_backward(d, x, w, stride, padding, groups)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(d, d_before)
+    assert dx.shape == x.shape and dw.shape == w.shape
+    assert dx.dtype == dw.dtype == dtype
+    inner = np.vdot(y, d)
+    tol = CONV_TOL[dtype] * np.linalg.norm(y) * np.linalg.norm(d)
+    assert abs(np.vdot(x, dx) - inner) <= tol
+    assert abs(np.vdot(w, dw) - inner) <= tol
+    np.testing.assert_array_equal(db, d.sum(axis=(0, 2, 3)))
+
+
 class TestConvBackward:
     @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype", CONV_CASES)
     def test_backward_is_the_adjoint_of_forward(self, rng, n, c_in, c_out, k, stride,
                                                 padding, groups, bias, dtype):
-        # conv is bilinear in (x, w), so <conv(x, w), d> == <x, dx> == <w, dw>
         x = rng.standard_normal((n, c_in, 7, 7)).astype(dtype)
-        w = random_conv(rng, c_in, c_out, k, stride, padding, groups).weights.astype(dtype)
-        y = conv_forward(x, w, None, stride, padding, groups)
-        d = rng.standard_normal(y.shape).astype(dtype)
-        dx, dw, db = conv_backward(d, x, w, stride, padding, groups)
-        assert dx.shape == x.shape and dw.shape == w.shape
-        inner = np.vdot(y, d)
-        tol = CONV_TOL[dtype] * np.linalg.norm(y) * np.linalg.norm(d)
-        assert abs(np.vdot(x, dx) - inner) <= tol
-        assert abs(np.vdot(w, dw) - inner) <= tol
-        np.testing.assert_array_equal(db, d.sum(axis=(0, 2, 3)))
+        _check_adjoint(rng, x, c_out, k, stride, padding, groups)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (4, 4), (1, 4), (4, 2)])
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,dtype", SMALL_CASES)
+    def test_adjoint_at_small_spatial_sizes(self, rng, h, w, n, c_in, c_out, k, stride,
+                                            padding, groups, dtype):
+        x = rng.standard_normal((n, c_in, h, w)).astype(dtype)
+        _check_adjoint(rng, x, c_out, k, stride, padding, groups)
 
 
 class TestParameterGradients:
@@ -217,6 +260,61 @@ class TestParameterGradients:
         pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
         assert "stem_conv.weight" in pgrads
         assert np.all(np.isfinite(pgrads["stem_conv.weight"]))
+
+
+def _tape(graph, x, gates):
+    """The tape `forward_masked` records for `graph` at `gates`, with every gated
+    node in mask slot 0."""
+    records: list = []
+    execute_graph(graph, Tensor.of(x), gates, records)
+    return GradTape(graph, [TapeEntry(node, [t.data for t in ins], y.data,
+                                      0 if node.node_id in gates else None,
+                                      gates.get(node.node_id))
+                            for node, ins, y in records], 1)
+
+
+class TestActivationAndBnBackward:
+    @pytest.mark.parametrize("gate", [0.0, 1.0, 0.5, None])
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_activation_input_gradient_is_the_gated_formula(self, rng, kind, gate):
+        # z = bias map exactly (zero weights), with planted values on both kinks
+        z = rng.uniform(-3, 9, (4, 5, 5))
+        z[0, 0, :3] = [0.0, 6.0, -0.0]
+        conv = ConvLayer(1, 1, 1, 0, 1, 4, 4, np.zeros((4, 4, 1, 1)), z)
+        graph = NetGraph((Node("conv", conv, ()), Node("act", Activation(kind), ("conv",))),
+                         (1, 4, 5, 5))
+        tape = _tape(graph, rng.standard_normal((1, 4, 5, 5)),
+                     {} if gate is None else {"act": gate})
+        dout = rng.standard_normal((1, 4, 5, 5))
+        pgrads, _ = backward(tape, dout)
+        dz = pgrads["conv.bias"]  # dout.sum(axis=0) of the conv, at n = 1 exact
+        dact = {ActivationKind.RELU: z > 0, ActivationKind.RELU6: (z > 0) & (z < 6),
+                ActivationKind.IDENTITY: np.ones_like(z)}[kind].astype(np.float64)
+        g = 1.0 if gate is None else gate
+        want = dout[0] * (g * dact + (1 - g))
+        if g in (0.0, 1.0):
+            assert np.array_equal(dz, want)
+        else:
+            assert np.max(np.abs(dz - want)) <= 1e-15
+
+    def test_bn_gamma_gradient_matches_the_normalized_input_formula(self, rng):
+        c = 6
+        mean = rng.uniform(-20, 20, c)
+        var = rng.uniform(0.01, 2.0, c)
+        bn = BatchNormLayer(rng.uniform(0.5, 1.5, c), rng.standard_normal(c), mean, var)
+        std = np.sqrt(var)[None, :, None, None]
+        # the batch mean sits 3-5 running standard deviations off the running mean
+        offset = rng.uniform(3, 5, c)[None, :, None, None] * rng.choice([-1, 1], c)[
+            None, :, None, None]
+        x = mean[None, :, None, None] + std * (offset + rng.standard_normal((4, c, 3, 3)))
+        tape = _tape(NetGraph((Node("bn", bn, ()),), x.shape), x, {})
+        dout = rng.standard_normal(x.shape)
+        pgrads, _ = backward(tape, dout)
+        inv_std = 1.0 / np.sqrt(var + bn.epsilon)
+        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        np.testing.assert_allclose(pgrads["bn.gamma"],
+                                   np.einsum("nchw,nchw->c", dout, xhat), rtol=1e-10)
+        np.testing.assert_array_equal(pgrads["bn.beta"], dout.sum(axis=(0, 2, 3)))
 
 
 class TestMaskGradients:

@@ -188,6 +188,18 @@ class TestExpand:
         assert "13 -> 29 nodes" in text
         assert io.load_graph(res / "graph.json").blocks
 
+    def test_expand_a_fully_shrunk_graph(self, tmp_path):
+        out = _gen(tmp_path, name="toy-irb-3")
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 0, 0], mask)
+        shrunk = tmp_path / "shrunk"
+        assert run(["shrink", "--graph", str(out), "--mask", str(mask),
+                    "--out", str(shrunk)]) == 0
+        res = tmp_path / "expanded"
+        assert run(["expand", "--graph", str(shrunk), "--out", str(res)]) == 0
+        kinds = [b.kind for b in io.load_graph(res / "graph.json").blocks]
+        assert kinds == ["plain_conv", "inverted_residual", "plain_conv"]
+
 
 class TestErrorHandling:
     def test_missing_file_exits_1(self, tmp_path, capsys):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from blockfuse.core import ConvLayer
+from blockfuse.core import ActivationKind, ConvLayer
 from blockfuse.errors import GraphError
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import toy_irb, vgg_toy
-from blockfuse.graph import NetGraph, Node, validate_graph
+from blockfuse.graph import NetGraph, Node, apply_mask_vector, validate_graph
 from blockfuse.merge import shrink_graph, verify_equivalence
 
 
@@ -92,3 +92,32 @@ class TestRoundTrip:
         new_convs = [(n.layer.kernel_h, n.layer.stride, n.layer.c_in, n.layer.c_out)
                      for n in shrunk.nodes if isinstance(n.layer, ConvLayer)]
         assert new_convs == orig_convs
+
+    def test_shrunk_graph_expands_and_shrinks_back(self):
+        # every block of a fully shrunk toy_irb(3) is one merged 3x3 conv in a
+        # plain_conv block; the plain rule picks block1_merged, whose block the
+        # new IRB replaces
+        shrunk, _ = shrink_graph(toy_irb(3, seed=2), [0, 0, 0])
+        expanded = expand_for_training(shrunk, seed=3)
+        validate_graph(expanded)
+        assert [b.kind for b in expanded.blocks] == \
+            ["plain_conv", "inverted_residual", "plain_conv"]
+        assert expanded.blocks[1].node_ids[0] == "block1_merged_exp_pw1"
+        mask = [1, 0, 1]
+        back, _ = shrink_graph(expanded, mask)
+
+        def conv_shapes(g):
+            return [(n.layer.kernel_h, n.layer.stride, n.layer.groups, n.layer.c_in,
+                     n.layer.c_out) for n in g.nodes if isinstance(n.layer, ConvLayer)]
+
+        assert conv_shapes(back) == conv_shapes(shrunk)
+        rep = verify_equivalence(apply_mask_vector(expanded, mask), back, 3, 1e-10, seed=5)
+        assert rep.passed, rep
+
+    def test_conv_inside_a_larger_block_is_skipped(self):
+        # with a free activation each merged block is (conv, act); no conv is
+        # then the whole of its block, so nothing is eligible
+        shrunk, _ = shrink_graph(toy_irb(3, seed=2), [0, 0, 0],
+                                 free_activation=ActivationKind.RELU)
+        with pytest.raises(GraphError, match="inside a block"):
+            expand_for_training(shrunk)

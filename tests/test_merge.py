@@ -7,6 +7,8 @@ from blockfuse.core import (
     ActivationKind,
     AvgPool,
     ConvLayer,
+    Flatten,
+    Linear,
     Tensor,
     execute_layer,
 )
@@ -384,6 +386,42 @@ class TestVerifyEquivalence:
         assert rep.passed
         assert 0 < rep.max_abs_err <= 1e-15
         assert rep.max_rel_err <= 1e-15
+
+    def test_names_the_worst_sample_and_output_index(self, rng):
+        # one planted weight difference: output 3 differs by |x[5]| * 1e-3 in
+        # each sample, so the worst sample is the one with the largest |x[5]|
+        weight = rng.standard_normal((4, 12))
+        planted = weight.copy()
+        planted[3, 5] += 1e-3
+
+        def flat_linear(w):
+            return NetGraph((Node("flat", Flatten(), ()),
+                             Node("fc", Linear(w), ("flat",))), (1, 3, 2, 2))
+
+        rep = verify_equivalence(flat_linear(weight), flat_linear(planted), 4, 1e-10,
+                                 seed=0)
+        gen = np.random.Generator(np.random.PCG64(0))
+        inputs = [gen.standard_normal((1, 3, 2, 2)) for _ in range(4)]
+        assert not rep.passed
+        assert rep.worst_index == 3
+        assert rep.worst_sample == int(np.argmax([abs(x.flat[5]) for x in inputs]))
+        assert rep.to_json()["worst_sample"] == rep.worst_sample
+        assert rep.to_json()["worst_index"] == 3
+        assert rep.max_abs_err == pytest.approx(1e-3 * max(abs(x.flat[5]) for x in inputs),
+                                                rel=1e-9)
+
+    def test_a_nan_output_fails(self, rng):
+        w = rng.standard_normal((2, 3, 1, 1))
+        bad = w.copy()
+        bad[1, 0, 0, 0] = np.nan
+
+        def one_conv(weights):
+            return NetGraph((Node("conv", ConvLayer(1, 1, 1, 0, 1, 3, 2, weights), ()),),
+                            (1, 3, 4, 4))
+
+        rep = verify_equivalence(one_conv(w), one_conv(bad), 2, 1e-10, seed=0)
+        assert not rep.passed and rep.max_abs_err == np.inf
+        assert (rep.worst_sample, rep.worst_index) == (0, 16)  # channel 1's first output
 
     def test_biased_block_is_exact_everywhere(self, rng):
         g = irb_graph(rng, 3, 3, 2, 3, 1, residual=False, biased=True)
