@@ -34,16 +34,16 @@ from .train import (
 )
 
 
-def _resolve(path_arg: str, weights_arg=None):
+def _resolve(path_arg: str, weights_arg=None, payloads: bool = True):
     """Accept a directory (graph.json + weights.dswt inside) or a graph file. A
     weights file named on the command line must exist; the weights.dswt beside
-    the graph is optional."""
+    the graph is optional. `payloads` goes to `io.load_weights`."""
     p = Path(path_arg)
     graph_path = p / "graph.json" if p.is_dir() else p
     weights_path = Path(weights_arg) if weights_arg else graph_path.with_name("weights.dswt")
     graph = io.load_graph(graph_path)
     if weights_arg or weights_path.exists():
-        graph = io.bind_weights(graph, io.load_weights(weights_path))
+        graph = io.bind_weights(graph, io.load_weights(weights_path, payloads))
     return graph
 
 
@@ -170,7 +170,7 @@ def _cmd_gen_fixture(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    graph = _resolve(args.graph, args.weights)
+    graph = _resolve(args.graph, args.weights, payloads=False)  # MACs need shapes only
     latency = io.load_latency_table(args.latency) if args.latency else None
     report = cost_report(graph, precision_bits=args.bits, latency=latency)
     print(report.to_table())

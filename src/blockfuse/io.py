@@ -4,6 +4,8 @@ Weights container layout (all little-endian, no padding):
   magic "DSWT" | u32 version=1 | u32 array count |
   per array: u16 name length | UTF-8 name | u8 dtype (0=f32, 1=f64) |
              u8 ndim | ndim x u32 dims | raw payload
+
+`blockfuse cost` reads only the records' headers and seeks past every payload.
 """
 from __future__ import annotations
 
@@ -73,10 +75,10 @@ def _check_at_least(params: dict, keys, low: int, path: str) -> None:
                               f"got {params[key]!r}")
 
 
-def _placeholder(shape: tuple) -> np.ndarray:
+def _placeholder(shape: tuple, dtype=np.float64) -> np.ndarray:
     """Zeros of `shape` as one read-only zero-stride view, so a graph loaded
     before `bind_weights` costs no memory per weight."""
-    return np.broadcast_to(np.zeros(()), shape)
+    return np.broadcast_to(np.zeros((), dtype), shape)
 
 
 def _layer_from_json(op: str, params: dict, path: str) -> Layer:
@@ -229,17 +231,25 @@ def save_weights(table: Dict[str, np.ndarray], path) -> None:
             fh.write(memoryview(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
 
 
-def load_weights(path) -> Dict[str, np.ndarray]:
+def load_weights(path, payloads: bool = True) -> Dict[str, np.ndarray]:
+    """Arrays by name, each in its own writable, aligned, C-contiguous buffer;
+    `payloads=False` skips the payloads for zero-stride placeholders."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
-        def take(n: int, what: str) -> bytearray:
+        def take(n: int, what: str, make=bytearray):
+            """The next n bytes, read into the buffer make(n), or skipped if
+            make is None."""
             nonlocal left
             if n > left:  # checked before anything of that size is allocated
                 raise FormatError(f"truncated weights file while reading {what}")
             left -= n
-            out = bytearray(n)  # writable, so arrays over it need no copy
-            fh.readinto(out)
+            if make is None:
+                fh.seek(n, os.SEEK_CUR)
+                return None
+            out = make(n)
+            if fh.readinto(out) != n:  # a short read would leave unread memory
+                raise FormatError(f"truncated weights file while reading {what}")
             return out
 
         if take(4, "magic") != WEIGHTS_MAGIC:
@@ -257,10 +267,11 @@ def load_weights(path) -> Dict[str, np.ndarray]:
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
             dtype = _CODE_DTYPES[code]
             # math.prod: a Python int, so huge dims cannot wrap around
-            payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name}")
+            payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name}",
+                           (lambda _: np.empty(dims, dtype)) if payloads else None)
             if name in table:
                 raise FormatError(f"duplicate array name {name!r}")
-            table[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
+            table[name] = _placeholder(dims, dtype) if payload is None else payload
     if left:
         raise FormatError(f"{left} trailing bytes after last record")
     return table

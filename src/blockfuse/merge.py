@@ -8,6 +8,10 @@ constant, a (c_out, oh, ow) bias map otherwise (a bias or BN shift ahead of
 a zero-padded conv changes the border). Merges are therefore exact at every
 output position whatever the biases, BN shifts and running means.
 
+Fold order: each BN folds into the conv right before it while that kernel is
+small, and only then do the convs compose; a BN with no conv before it becomes
+a 1x1 conv or folds into the kernel composed so far.
+
 Composition of two convs (cross-correlation orientation, stride-aware):
 merged kernel size d = (d2 - 1) * s1 + d1, stride s1 * s2, padding
 p1 + s1 * p2, with second-kernel taps spaced s1 apart in the merged kernel.
@@ -109,15 +113,21 @@ def compose_convs(first: ConvLayer, second: ConvLayer) -> ConvLayer:
         raise MergeError("compose_convs supports square kernels only")
     d1, d2, s1 = first.kernel_h, second.kernel_h, first.stride
     d = (d2 - 1) * s1 + d1
-    merged = np.zeros((second.c_out, first.c_in, d, d))
     w1, w2 = first.weights, second.weights
-    for p in range(d2):
-        for q in range(d2):
-            if depthwise:
-                tap = w2[:, 0, p, q][:, None, None, None] * w1
-            else:
-                tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
-            merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
+    merged = np.zeros((second.c_out, first.c_in, d, d))
+    if d2 == 1 and not depthwise:  # one tap: the kernel is one matrix product
+        np.matmul(w2[:, :, 0, 0], w1.reshape(first.c_out, -1),
+                  out=merged.reshape(second.c_out, -1))
+    elif d1 == 1 and depthwise:  # taps s1 apart: one broadcast product
+        np.multiply(w2, w1, out=merged[:, :, ::s1, ::s1])
+    else:  # tap by tap; taps overlap where the first kernel is wider than 1x1
+        for p in range(d2):
+            for q in range(d2):
+                if depthwise:
+                    tap = w2[:, 0, p, q][:, None, None, None] * w1
+                else:
+                    tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
+                merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
     return ConvLayer(d, d, s1 * second.stride, first.padding + s1 * second.padding,
                      1, first.c_in, second.c_out, merged)
 
@@ -175,13 +185,19 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
                  if isinstance(layer, Activation) and layer.kind != ActivationKind.IDENTITY]
     if live_acts:
         raise MergeError(f"chain is not mergeable: activations still present at {live_acts}")
+    # each BN folds into the conv right before it while that kernel is small
+    linear: List[Tuple[str, object]] = []
+    for nid, layer in layers:
+        if isinstance(layer, BatchNormLayer) and linear and \
+                isinstance(linear[-1][1], ConvLayer):
+            linear[-1] = (linear[-1][0], fold_bn_into_conv(linear[-1][1], layer))
+        elif not isinstance(layer, Activation):
+            linear.append((nid, layer))
     # the accumulated conv's kernel is L; the biases it picks up along the way
     # are dropped for f(0) at the end
     acc: Optional[ConvLayer] = None
-    for nid, layer in layers:
-        if isinstance(layer, Activation):
-            continue
-        if isinstance(layer, BatchNormLayer):
+    for nid, layer in linear:
+        if isinstance(layer, BatchNormLayer):  # no conv before it
             if acc is None:
                 nxt = bn_to_conv(layer)
             else:
@@ -411,10 +427,12 @@ def verify_equivalence(g_before: NetGraph, g_after: NetGraph, n_samples: int,
             raise ShapeError(f"output dims differ: {a.shape} vs {b.shape}")
         diff = np.abs(a - b)
         index = int(diff.argmax())  # the first NaN, if there is one
-        err = float(np.nan_to_num(diff.flat[index], nan=np.inf))  # NaN never passes
+        # NaN never passes; neither NaN nor inf reads as a finite number
+        err = float(np.nan_to_num(diff.flat[index], nan=np.inf, posinf=np.inf))
         if err > max_abs:
             max_abs, worst = err, (sample, index)
         # relative to the sample's largest output, so an exact 0 stays meaningful
         scale = max(float(np.abs(a).max()), np.finfo(a.dtype).tiny)
-        max_rel = max(max_rel, err / scale)
+        rel = err / scale  # NaN when `a` holds a NaN or inf
+        max_rel = max(max_rel, float(np.nan_to_num(rel, nan=np.inf, posinf=np.inf)))
     return EquivalenceReport(n_samples, max_abs, max_rel, max_abs <= tol, tol, *worst)

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,76 @@ class TestCost:
         lat = tmp_path / "lat.csv"
         lat.write_text("block_id,latency_ms\n0,1.0\n1,2.0\n")
         assert run(["cost", "--graph", str(out), "--latency", str(lat)]) == 0
+
+
+    def test_reads_no_weight_payloads(self, tmp_path, capsys):
+        out = _gen(tmp_path, name="mbv2")
+        size = (out / "weights.dswt").stat().st_size  # 28 MB
+        tracemalloc.start()
+        try:
+            assert run(["cost", "--graph", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 10  # about 0.8 MB; reading the payloads took 28 MB
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_report_is_the_same_without_the_weights_file(self, tmp_path, precision):
+        out = tmp_path / "net"
+        assert run(["gen-fixture", "toy-irb-2", "--out", str(out),
+                    "--precision", precision]) == 0
+        with_weights, without = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["cost", "--graph", str(out), "--out", str(with_weights)]) == 0
+        (out / "weights.dswt").unlink()
+        assert run(["cost", "--graph", str(out), "--out", str(without)]) == 0
+        assert with_weights.read_bytes() == without.read_bytes()
+
+
+def _unknown_dtype(raw: bytes) -> bytes:
+    name_len = struct.unpack_from("<H", raw, 12)[0]
+    at = 12 + 2 + name_len  # the first record's dtype code
+    return raw[:at] + b"\x07" + raw[at + 1:]
+
+
+class TestCostWeightsChecks:
+    """`cost` skips the weight payloads but keeps every check that `shrink`
+    makes on the file's format and shapes."""
+
+    # (edit of the saved table, edit of the file's bytes, error, message part)
+    @pytest.mark.parametrize("edit_table,edit_bytes,error,where", [
+        (None, lambda raw: b"NOPE" + raw[4:], "FormatError", "magic"),
+        (None, _unknown_dtype, "FormatError", "unknown dtype code 7"),
+        (None, lambda raw: raw[:-8], "FormatError", "truncated"),
+        # a second array saved as "b0_pw1.weighX", then renamed in the file
+        (lambda t: t.update({"b0_pw1.weighX": t["b0_pw1.weight"]}),
+         lambda raw: raw.replace(b"b0_pw1.weighX", b"b0_pw1.weight"),
+         "FormatError", "duplicate array name"),
+        (None, lambda raw: raw + b"\x00\x00", "FormatError", "trailing"),
+        (lambda t: t.update({"b0_pw1.weight": np.zeros((1, 2, 1, 1))}), None,
+         "GraphError", "b0_pw1.weight"),
+    ], ids=["bad-magic", "unknown-dtype", "truncated-payload", "duplicate-name",
+            "trailing-bytes", "wrong-shape"])
+    def test_malformed_weights_fail_cost_as_they_fail_shrink(
+            self, tmp_path, capsys, edit_table, edit_bytes, error, where):
+        out = _gen(tmp_path)
+        path = out / "weights.dswt"
+        if edit_table:
+            table = io.load_weights(path)
+            edit_table(table)
+            io.save_weights(table, path)
+        if edit_bytes:
+            path.write_bytes(edit_bytes(path.read_bytes()))
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 1], mask)
+        errors = []
+        for argv in (["cost", "--graph", str(out)],
+                     ["shrink", "--graph", str(out), "--mask", str(mask),
+                      "--out", str(tmp_path / "shrunk")]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            errors.append(json.loads(capsys.readouterr().err))
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == error and where in errors[0]["message"]
 
 
 class TestShrinkVerify:

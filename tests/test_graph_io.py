@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,6 +377,40 @@ class TestWeightsContainer:
         for k in table:
             assert loaded[k].dtype == np.asarray(table[k]).dtype
             assert np.array_equal(loaded[k], table[k])
+            flags = loaded[k].flags
+            assert flags.writeable and flags.aligned and flags.c_contiguous
+
+    def test_headers_only_load_skips_payloads(self, tmp_path, rng):
+        table = {
+            "a.weight": rng.standard_normal((2, 3, 3, 3)),
+            "b.bias": rng.standard_normal(4).astype(np.float32),
+            "c.scalar": np.float64(2.5),
+        }
+        path = tmp_path / "w.dswt"
+        io.save_weights(table, path)
+        loaded = io.load_weights(path, payloads=False)
+        assert list(loaded) == list(table)
+        for k, arr in loaded.items():
+            want = np.asarray(table[k])
+            assert arr.dtype == want.dtype and arr.shape == want.shape
+            # one shared zero per array: nothing of the payload was read
+            assert all(s == 0 for s in arr.strides) and not arr.any()
+
+    @pytest.mark.parametrize("keep", [-8, 6], ids=["payload", "header"])
+    def test_short_read_is_truncated(self, tmp_path, rng, monkeypatch, keep):
+        # fstat claims the full size, so the size check passes and readinto
+        # comes back short; unchecked, that left zeros or stale memory
+        path = tmp_path / "w.dswt"
+        io.save_weights({"a.weight": rng.standard_normal((4, 4))}, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        missing = len(raw) - len(raw[:keep])
+        real_fstat = io.os.fstat
+        with monkeypatch.context() as m:
+            m.setattr(io.os, "fstat", lambda fd: SimpleNamespace(
+                st_size=real_fstat(fd).st_size + missing))
+            with pytest.raises(FormatError, match="truncated"):
+                io.load_weights(path)
 
     def test_golden_bytes(self, tmp_path):
         table = {

@@ -28,7 +28,8 @@ from blockfuse.merge import (
 )
 from blockfuse.fixtures import toy_irb
 
-from conftest import irb_chain, irb_graph, random_bn, random_conv, run_chain
+from conftest import (conv_oracle, irb_chain, irb_graph, random_bn, random_conv,
+                      run_chain)
 
 
 def _max_err(a, b):
@@ -139,6 +140,33 @@ class TestCompose:
         # border rows differ, interior agrees; merged kernel 5 -> border 2
         assert _max_err(seq[:, :, 2:-2, 2:-2], got[:, :, 2:-2, 2:-2]) <= 1e-12
 
+    # (d1, s1, d2, s2, p2, depthwise): each path of compose_convs; p2 is 0
+    # after a wide first kernel, where a padded second conv is not exact
+    @pytest.mark.parametrize("d1,s1,d2,s2,p2,depthwise", [
+        pytest.param(1, 1, 3, 1, 1, True, id="pw-s1-then-dw3"),
+        pytest.param(1, 2, 5, 1, 2, True, id="pw-s2-then-dw5"),
+        pytest.param(1, 2, 3, 2, 1, True, id="pw-s2-then-dw3-s2"),
+        pytest.param(1, 2, 3, 1, 1, False, id="pw-s2-then-dense3"),
+        pytest.param(3, 1, 1, 1, 0, False, id="k3-then-pw"),
+        pytest.param(3, 2, 1, 2, 0, False, id="k3-s2-then-pw-s2"),
+        pytest.param(3, 1, 3, 1, 0, False, id="overlap-dense"),
+        pytest.param(3, 2, 3, 1, 0, True, id="overlap-dw"),
+        pytest.param(3, 1, 1, 1, 0, True, id="k3-then-dw1"),
+    ])
+    def test_compose_matches_the_oracle(self, rng, d1, s1, d2, s2, p2, depthwise):
+        c = 4
+        first = random_conv(rng, 3, c, d1, stride=s1, padding=(d1 - 1) // 2)
+        second = random_conv(rng, c, c if depthwise else 5, d2, stride=s2, padding=p2,
+                             groups=c if depthwise else 1)
+        merged = compose_convs(first, second)
+        x = rng.standard_normal((1, 3, 9, 9))
+        hidden = conv_oracle(x, first.weights, stride=s1, padding=first.padding)
+        seq = conv_oracle(hidden, second.weights, stride=s2, padding=p2,
+                          groups=second.groups)
+        got = conv_oracle(x, merged.weights, stride=merged.stride, padding=merged.padding)
+        assert got.shape == seq.shape
+        assert _max_err(seq, got) <= 1e-12
+
     def test_kernel_stride_padding_law(self, rng):
         for d1 in (1, 3, 5):
             for d2 in (1, 3, 5):
@@ -225,6 +253,42 @@ class TestMergeChain:
         seq = run_chain(chain, x).data
         merged = merge_chain(chain, False, x.dims)
         assert _max_err(seq, execute_layer(merged, x).data) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: [("bn0", random_bn(rng, 4, biased=True)),
+                     ("pw", random_conv(rng, 4, 6, 1, padding=0, bias=True)),
+                     ("bn1", random_bn(rng, 6, biased=True)),
+                     ("dw", random_conv(rng, 6, 6, 3, groups=6)),
+                     ("bn2", random_bn(rng, 6, biased=True))],
+        lambda rng: [("pw", random_conv(rng, 4, 5, 1, padding=0)),
+                     ("bn1", random_bn(rng, 5, biased=True)),
+                     ("pool", AvgPool(2, 2)),
+                     ("bn2", random_bn(rng, 5, biased=True)),
+                     ("pw2", random_conv(rng, 5, 4, 1, padding=0)),
+                     ("bn3", random_bn(rng, 4, biased=True))],
+        lambda rng: [("grouped", random_conv(rng, 4, 6, 3, groups=2, bias=True)),
+                     ("bn1", random_bn(rng, 6, biased=True)),
+                     ("act1", Activation(ActivationKind.IDENTITY)),
+                     ("pw", random_conv(rng, 6, 3, 1, padding=0)),
+                     ("bn2", random_bn(rng, 3, biased=True))],
+    ], ids=["opens-with-bn", "bn-after-avgpool", "bn-after-grouped-conv"])
+    def test_every_bn_position_is_exact_everywhere(self, rng, make):
+        chain = make(rng)  # each reads 4 channels
+        x = Tensor.of(rng.standard_normal((2, 4, 8, 8)))
+        merged = merge_chain(chain, False, x.dims)
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-10
+
+    def test_each_bn_folds_into_the_small_conv_before_it(self, rng, monkeypatch):
+        folded = []
+        real_fold = merge_module.fold_bn_into_conv
+
+        def recording_fold(conv, bn):
+            folded.append(conv.weights.shape)
+            return real_fold(conv, bn)
+
+        monkeypatch.setattr(merge_module, "fold_bn_into_conv", recording_fold)
+        merge_chain(irb_chain(rng, 4, 5, 6, 3, 2, biased=True), False, (1, 4, 9, 9))
+        assert folded == [(24, 4, 1, 1), (24, 1, 3, 3), (5, 24, 1, 1)]
 
     def test_depthwise_is_never_lifted_after_a_conv(self, rng, monkeypatch):
         lifted = []
@@ -422,6 +486,23 @@ class TestVerifyEquivalence:
         rep = verify_equivalence(one_conv(w), one_conv(bad), 2, 1e-10, seed=0)
         assert not rep.passed and rep.max_abs_err == np.inf
         assert (rep.worst_sample, rep.worst_index) == (0, 16)  # channel 1's first output
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_a_non_finite_output_has_infinite_errors(self, rng, side, value):
+        w = rng.standard_normal((2, 3, 1, 1))
+        bad = w.copy()
+        bad[1, 0, 0, 0] = value
+
+        def one_conv(weights):
+            return NetGraph((Node("conv", ConvLayer(1, 1, 1, 0, 1, 3, 2, weights), ()),),
+                            (1, 3, 4, 4))
+
+        graphs = (one_conv(bad), one_conv(w))
+        rep = verify_equivalence(*(graphs if side == "before" else graphs[::-1]),
+                                 2, 1e-10, seed=0)
+        assert not rep.passed
+        assert rep.max_abs_err == np.inf and rep.max_rel_err == np.inf
 
     def test_biased_block_is_exact_everywhere(self, rng):
         g = irb_graph(rng, 3, 3, 2, 3, 1, residual=False, biased=True)
