@@ -6,6 +6,8 @@ Weights container layout (all little-endian, no padding):
              u8 ndim | ndim x u32 dims | raw payload
 
 `blockfuse cost` reads only the records' headers and seeks past every payload.
+`save_weights` rewrites an existing file in place and writes the magic last, so
+an exception or a killed process mid-write leaves a file that fails on "bad magic".
 """
 from __future__ import annotations
 
@@ -210,6 +212,9 @@ def load_graph(path) -> NetGraph:
 
 
 def save_weights(table: Dict[str, np.ndarray], path) -> None:
+    """Check every name and dtype, then rewrite any old file in place (an ext4 truncate
+    waits for writeback): 4 zero bytes, header, records, truncate, magic last. A raise or
+    kill mid-write leaves "bad magic"; with no fsync a power loss or a live reader may not."""
     records = []
     seen = set()
     for name, arr in table.items():
@@ -223,12 +228,19 @@ def save_weights(table: Dict[str, np.ndarray], path) -> None:
         header = struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
                              _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
         records.append((header, arr))
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(table)))
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        fh = open(path, "wb")
+    with fh:
+        fh.write(bytes(4) + struct.pack("<II", WEIGHTS_VERSION, len(table)))
         for header, arr in records:
             fh.write(header)
             # a C-contiguous little-endian array is written as is, uncopied
             fh.write(memoryview(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
+        fh.truncate()
+        fh.seek(0)
+        fh.write(WEIGHTS_MAGIC)
 
 
 def load_weights(path, payloads: bool = True) -> Dict[str, np.ndarray]:
@@ -258,9 +270,12 @@ def load_weights(path, payloads: bool = True) -> Dict[str, np.ndarray]:
         if version != WEIGHTS_VERSION:
             raise FormatError(f"unsupported weights version {version}")
         table: Dict[str, np.ndarray] = {}
-        for _ in range(count):
+        for i in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
-            name = str(take(name_len, "name"), "utf-8")
+            try:
+                name = str(take(name_len, "name"), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"record {i}: name is not UTF-8: {exc}") from exc
             code, ndim = struct.unpack("<BB", take(2, "dtype/ndim"))
             if code not in _CODE_DTYPES:
                 raise FormatError(f"{name}: unknown dtype code {code}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -95,6 +96,10 @@ def _unknown_dtype(raw: bytes) -> bytes:
     return raw[:at] + b"\x07" + raw[at + 1:]
 
 
+def _non_utf8_name(raw: bytes) -> bytes:
+    return raw[:14] + b"\xff" + raw[15:]  # the first byte of the first record's name
+
+
 class TestCostWeightsChecks:
     """`cost` skips the weight payloads but keeps every check that `shrink`
     makes on the file's format and shapes."""
@@ -111,8 +116,9 @@ class TestCostWeightsChecks:
         (None, lambda raw: raw + b"\x00\x00", "FormatError", "trailing"),
         (lambda t: t.update({"b0_pw1.weight": np.zeros((1, 2, 1, 1))}), None,
          "GraphError", "b0_pw1.weight"),
+        (None, _non_utf8_name, "FormatError", "record 0: name is not UTF-8"),
     ], ids=["bad-magic", "unknown-dtype", "truncated-payload", "duplicate-name",
-            "trailing-bytes", "wrong-shape"])
+            "trailing-bytes", "wrong-shape", "non-utf8-name"])
     def test_malformed_weights_fail_cost_as_they_fail_shrink(
             self, tmp_path, capsys, edit_table, edit_bytes, error, where):
         out = _gen(tmp_path)
@@ -134,6 +140,39 @@ class TestCostWeightsChecks:
             errors.append(json.loads(capsys.readouterr().err))
         assert errors[0] == errors[1]
         assert errors[0]["error"] == error and where in errors[0]["message"]
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+class TestRerun:
+    """A command rerun into a used --out leaves the bytes of a fresh run."""
+
+    @pytest.mark.parametrize("masks", [([0, 0, 0], [1, 0, 1]), ([1, 0, 1], [0, 0, 0])],
+                             ids=["merged-then-kept", "kept-then-merged"])
+    def test_shrink_into_a_used_out_equals_a_fresh_out(self, tmp_path, masks):
+        net = _gen(tmp_path, name="toy-irb-3")
+
+        def shrink(mask, out):
+            path = tmp_path / "mask.json"
+            io.save_mask(mask, path)
+            assert run(["shrink", "--graph", str(net), "--mask", str(path),
+                        "--out", str(out)]) == 0
+            return _digests(out)
+
+        reused = tmp_path / "reused"
+        sizes = []
+        for i, mask in enumerate(masks):
+            assert shrink(mask, reused) == shrink(mask, tmp_path / f"fresh{i}")
+            sizes.append((reused / "weights.dswt").stat().st_size)
+        assert sizes[0] != sizes[1]  # one of the two orders writes over a longer file
+
+    def test_gen_fixture_twice_into_one_dir(self, tmp_path):
+        out = _gen(tmp_path, name="toy-irb-3")
+        first = _digests(out)
+        _gen(tmp_path, name="toy-irb-3")
+        assert _digests(out) == first
 
 
 class TestShrinkVerify:

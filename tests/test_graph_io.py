@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+import os
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from blockfuse import io
+from blockfuse.cli import run
 from blockfuse.core import (
     Activation,
     ActivationKind,
@@ -463,6 +465,15 @@ class TestWeightsContainer:
         with pytest.raises(FormatError, match="dtype"):
             io.save_weights({"a": np.zeros(3, dtype=np.int32)}, tmp_path / "w.dswt")
 
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "w.dswt"
+        io.save_weights({"a": np.zeros(1), "b": np.zeros(2)}, path)
+        raw = path.read_bytes()
+        at = raw.rindex(b"\x01\x00b")  # the second record's name length and name
+        path.write_bytes(raw[:at + 2] + b"\xff" + raw[at + 3:])
+        with pytest.raises(FormatError, match="record 1: name is not UTF-8"):
+            io.load_weights(path)
+
     def test_graph_weights_round_trip(self, tmp_path, rng):
         g = toy_irb(2, seed=4)
         path = tmp_path / "w.dswt"
@@ -485,6 +496,65 @@ class TestWeightsContainer:
         table["stem_conv.weight"] = np.zeros((1, 1, 1, 1))
         with pytest.raises(GraphError, match="shape"):
             io.bind_weights(g, table)
+
+
+class TestWeightsRewrite:
+    """`save_weights` writes over an existing file in place, magic last."""
+
+    def test_shorter_table_over_a_longer_file_equals_a_fresh_save(self, tmp_path, rng):
+        path, link, fresh = (tmp_path / n for n in ("w.dswt", "link.dswt", "fresh.dswt"))
+        io.save_weights({"a.weight": rng.standard_normal((8, 8)),
+                         "b.bias": rng.standard_normal(5)}, path)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        short = {"c.weight": rng.standard_normal((2, 3)).astype(np.float32)}
+        io.save_weights(short, path)
+        io.save_weights(short, fresh)
+        assert path.read_bytes() == fresh.read_bytes() == link.read_bytes()
+        assert path.stat().st_ino == inode
+        assert np.array_equal(io.load_weights(path)["c.weight"], short["c.weight"])
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-longer-file", "fresh-path"])
+    def test_save_cut_short_leaves_bad_magic(self, tmp_path, rng, monkeypatch, existing):
+        path = tmp_path / "w.dswt"
+        if existing:
+            io.save_weights({f"old{i}": rng.standard_normal(1000) for i in range(6)}, path)
+        payloads = []
+
+        def third_payload_fails(arr):
+            payloads.append(arr)
+            if len(payloads) == 3:
+                raise OSError("No space left on device")
+            return memoryview(arr)
+
+        # shadows the builtin inside io, where each payload goes through memoryview
+        monkeypatch.setattr(io, "memoryview", third_payload_fails, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            io.save_weights({f"new{i}": rng.standard_normal(10) for i in range(4)}, path)
+        monkeypatch.undo()
+        assert len(payloads) == 3
+        with pytest.raises(FormatError, match="bad magic"):
+            io.load_weights(path)
+
+    def test_rejected_table_leaves_the_old_file(self, tmp_path, rng):
+        path = tmp_path / "w.dswt"
+        io.save_weights({"a.weight": rng.standard_normal((4, 4))}, path)
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match="dtype"):
+            io.save_weights({"b": np.zeros(3), "c": np.zeros(3, dtype=np.int32)}, path)
+        assert path.read_bytes() == before
+
+    def test_shrink_onto_a_directory_named_weights_exits_1(self, tmp_path, capsys):
+        net = tmp_path / "net"
+        assert run(["gen-fixture", "toy-irb-2", "--out", str(net)]) == 0
+        mask, out = tmp_path / "mask.json", tmp_path / "shrunk"
+        io.save_mask([0, 1], mask)
+        (out / "weights.dswt").mkdir(parents=True)
+        capsys.readouterr()
+        assert run(["shrink", "--graph", str(net), "--mask", str(mask),
+                    "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert (out / "weights.dswt").is_dir()
 
 
 class TestMaskAndLatencyFiles:
