@@ -1,9 +1,9 @@
 """Desk-scale training: mask search with latency-aware L1 decay, and
 fine-tuning with optional self-distillation against the unmodified network.
 
-Everything is deterministic given the config seed: data order is fixed,
-the optimizer is SGD with momentum and a cosine learning-rate schedule,
-and the PRNG is numpy's PCG64 (a fixed, documented algorithm).
+Training draws no random numbers: batches come in dataset order (nothing reads
+`TrainConfig.seed`), and the optimizer is SGD with momentum and a cosine schedule.
+`--seed` on `search`/`finetune` seeds only the synthetic dataset (numpy's PCG64).
 """
 from __future__ import annotations
 

@@ -137,20 +137,36 @@ def _small_blocks(monkeypatch, x, layer):
     monkeypatch.setattr(core, "_BLOCK_BYTES", block * row_bytes)
 
 
+def _spy_grouped_forward(monkeypatch) -> list:
+    """Record each call `conv_forward` makes to the im2col kernel."""
+    calls, real = [], core._grouped_forward
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_grouped_forward", spy)
+    return calls
+
+
 class TestDepthwiseBlocking:
-    """The blocked im2col kernel, which runs every conv but the plain 1x1 one."""
+    """The blocked im2col kernel, which runs every conv but the plain 1x1 one and
+    the small depthwise ones."""
 
     @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype",
                              BLOCKED_CASES)
     def test_small_blocks_match_default_and_oracle(self, rng, monkeypatch, n, c_in, c_out,
                                                    k, stride, padding, groups, bias, dtype):
         # three samples at least, so a dense conv (one row per sample) has a
-        # partial last block too
-        x = rng.standard_normal((max(n, 3), c_in, 7, 7)).astype(dtype)
+        # partial last block too; 9x9, so every depthwise output has more than
+        # `_CL_POSITIONS` positions and runs this kernel
+        x = rng.standard_normal((max(n, 3), c_in, 9, 9)).astype(dtype)
         x_before = x.copy()
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups, bias=bias)
+        calls = _spy_grouped_forward(monkeypatch)
         default = conv2d(x, layer)
+        assert len(calls) == 1
         _small_blocks(monkeypatch, x, layer)
         blocked = conv2d(x, layer)
         assert blocked.dtype == dtype
@@ -159,6 +175,61 @@ class TestDepthwiseBlocking:
                                padding, groups)
         assert np.max(np.abs(blocked - expected)) <= CONV_TOL[dtype]
         np.testing.assert_array_equal(x, x_before)
+
+
+def _dw_input_size(out, k, stride, padding):
+    """(h, w) whose depthwise output is out x out; at stride 2 the last input row
+    and column get no tap. k is an int, or (kh, kw)."""
+    kh, kw = (k, k) if isinstance(k, int) else k
+    return tuple((out - 1) * stride + kk - 2 * padding + stride - 1 for kk in (kh, kw))
+
+
+# (out, k, stride, padding) for the depthwise forward tests, with outputs on both
+# sides of `core._CL_POSITIONS`; output sizes that no input reaches are left out
+DW_CASES = [
+    pytest.param(out, k, stride, padding,
+                 id=f"out{out}-k{k}-s{stride}-p{padding}".replace("(3, 1)", "3x1"))
+    for out in (1, 2, 4, 5, 7)
+    for k, stride, padding in [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (3, 1, 2),
+                               (5, 1, 2), (5, 2, 2), ((3, 1), 1, 0), ((3, 1), 2, 1)]
+    if min(_dw_input_size(out, k, stride, padding)) >= 1
+]
+
+
+class TestDepthwiseForward:
+    """Both depthwise forward kernels: channels-last up to `_CL_POSITIONS` output
+    positions, `_grouped_forward` above."""
+
+    @staticmethod
+    def _case(rng, out, k, stride, padding, n=3, c=5):
+        layer = random_conv(rng, c, c, k, stride=stride, padding=padding, groups=c)
+        return layer, rng.standard_normal((n, c) + _dw_input_size(out, k, stride, padding))
+
+    @pytest.mark.parametrize("out,k,stride,padding", DW_CASES)
+    @pytest.mark.parametrize("dtype,bias_map", [(np.float64, False), (np.float32, True)])
+    def test_both_sides_of_the_rule_match_oracle(self, rng, monkeypatch, out, k, stride,
+                                                 padding, dtype, bias_map):
+        layer, x = self._case(rng, out, k, stride, padding)
+        bias = rng.standard_normal((layer.c_out, out, out) if bias_map else layer.c_out)
+        layer = replace(layer, bias=bias)
+        x = x.astype(dtype)
+        x_before = x.copy()
+        calls = _spy_grouped_forward(monkeypatch)
+        y = conv2d(x, layer)
+        assert len(calls) == (out * out > 16)  # the documented oh * ow <= 16 rule
+        assert y.shape == (x.shape[0], layer.c_out, out, out)
+        assert y.dtype == dtype and y.flags.c_contiguous
+        np.testing.assert_array_equal(x, x_before)
+        expected = conv_oracle(x.astype(np.float64), layer.weights, None, stride, padding,
+                               layer.groups) + (bias if bias_map else bias[:, None, None])
+        assert np.max(np.abs(y - expected)) <= CONV_TOL[dtype]
+
+    @pytest.mark.parametrize("out,k,stride,padding", DW_CASES)
+    def test_batched_sample_equals_its_single_run(self, rng, out, k, stride, padding):
+        layer, x = self._case(rng, out, k, stride, padding)
+        y = conv2d(x, layer)
+        for i in range(x.shape[0]):
+            np.testing.assert_array_equal(y[i:i + 1], conv2d(x[i:i + 1], layer))
 
 
 class TestOtherLayers:
