@@ -27,8 +27,8 @@ from .core import (
     Flatten,
     Linear,
     Tensor,
-    avgpool_backward,
     conv_backward,
+    pool_conv,
 )
 from .graph import NetGraph, Node, checked_mask, execute_graph, graph_sink
 from .io import bind_weights, weights_of_graph
@@ -194,8 +194,10 @@ def backward(tape: GradTape, loss_grad: np.ndarray
                 dins = [dout]
             else:
                 dins = [dout * dact]
-        elif isinstance(layer, AvgPool):
-            dins = [avgpool_backward(dout, entry.inputs[0].shape, layer)]
+        elif isinstance(layer, AvgPool):  # the depthwise conv it is, with fixed taps
+            pool = pool_conv(layer, dout.shape[1])
+            dins = [conv_backward(dout, entry.inputs[0], pool.weights, pool.stride, 0,
+                                  pool.groups)[0]]
         elif isinstance(layer, Linear):
             flat = entry.inputs[0].reshape(entry.inputs[0].shape[0], -1)
             dflat = dout.reshape(dout.shape[0], -1)

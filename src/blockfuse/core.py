@@ -1,21 +1,26 @@
 """Numerical kernels in (n, c, h, w) layout.
 
 Convolution is one shared forward/backward kernel pair, used by both the
-executor and autodiff. The forward is one matmul for a plain 1x1 conv, one
-multiply-add per tap for a depthwise conv with at most 16 output positions,
-and im2col plus a batched matmul over cache-sized blocks of (sample, group)
-rows for every other conv; the backward loops over kernel taps, never over
-groups. The depthwise backward and that small depthwise forward run
-channels-last (n, h, w, c): at the 1-16 px sizes of training, each strided op
-then loops over all channels instead of a short image row. The brute-force
-`conv_oracle` in the tests is the reference both are checked against. Default
-precision is f64; f32 exists only to emulate deployment error.
+executor and autodiff. An average pool runs through it too, as the depthwise
+conv with every tap 1/k^2 that it is (`pool_conv`). The forward is one matmul
+for a plain 1x1 conv, one multiply-add per tap for a depthwise conv with at
+most 16 output positions, and im2col plus a batched matmul over cache-sized
+blocks of (sample, group) rows for every other conv; the backward loops over
+kernel taps, never over groups. The depthwise backward and that small
+depthwise forward run channels-last (n, h, w, c): at the 1-16 px sizes of
+training, each strided op then loops over all channels instead of a short
+image row. The brute-force `conv_oracle` in the tests is the reference both
+are checked against. Default precision is f64; f32 exists only to emulate
+deployment error.
+
+One (slot, field) table per layer kind (`layer_arrays`) names the arrays of
+the weight table, the weight binding and the parameter count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -163,6 +168,31 @@ class Flatten:
 
 
 Layer = Union[ConvLayer, BatchNormLayer, Activation, AvgPool, Linear, Add, Flatten]
+
+# (slot, field) of each array a layer kind holds, in weight-table order; the
+# table names an array "<node_id>.<slot>"
+_ARRAY_SLOTS = {
+    ConvLayer: (("weight", "weights"), ("bias", "bias")),
+    Linear: (("weight", "weight"), ("bias", "bias")),
+    BatchNormLayer: (("gamma", "gamma"), ("beta", "beta"),
+                     ("mean", "running_mean"), ("var", "running_var")),
+}
+
+
+def layer_arrays(layer: Layer) -> Iterator[Tuple[str, str, np.ndarray]]:
+    """(slot, field, array) of each array the layer holds; an absent bias is skipped."""
+    for slot, name in _ARRAY_SLOTS.get(type(layer), ()):
+        arr = getattr(layer, name)
+        if arr is not None:
+            yield slot, name, arr
+
+
+def pool_conv(layer: AvgPool, channels: int) -> ConvLayer:
+    """The depthwise conv an average pool over `channels` channels is: every tap
+    1/k^2, as one read-only zero-stride view."""
+    k = layer.kernel
+    weights = np.broadcast_to(np.float64(1.0 / (k * k)), (channels, 1, k, k))
+    return ConvLayer(k, k, layer.stride, 0, channels, channels, channels, weights)
 
 
 def conv_out_size(in_size: int, kernel: int, stride: int, padding: int) -> int:
@@ -351,24 +381,6 @@ def batchnorm(x: np.ndarray, layer: BatchNormLayer,
     return out
 
 
-def avgpool2d(x: np.ndarray, layer: AvgPool) -> np.ndarray:
-    k, s = layer.kernel, layer.stride
-    oh, ow = conv_out_size(x.shape[2], k, s, 0), conv_out_size(x.shape[3], k, s, 0)
-    out = np.zeros(x.shape[:2] + (oh, ow), dtype=x.dtype)
-    for _, _, win in _taps(k, k, s, oh, ow):
-        out += x[win]
-    return out / (k * k)
-
-
-def avgpool_backward(dout: np.ndarray, x_shape: tuple, layer: AvgPool) -> np.ndarray:
-    """d(loss)/d(x) of `avgpool2d` given d(loss)/d(out)."""
-    k = layer.kernel
-    dx = np.zeros(x_shape, dtype=dout.dtype)
-    for _, _, win in _taps(k, k, layer.stride, dout.shape[2], dout.shape[3]):
-        dx[win] += dout
-    return dx / (k * k)
-
-
 def linear(x: np.ndarray, layer: Linear) -> np.ndarray:
     n = x.shape[0]
     flat = x.reshape(n, -1)
@@ -404,14 +416,14 @@ def execute_layer(layer: Layer, *inputs: Tensor) -> Tensor:
         raise ShapeError(f"{type(layer).__name__} requires exactly one input")
     x = inputs[0].data
     spare = x if inputs[0].spare else None
+    if isinstance(layer, AvgPool):
+        layer = pool_conv(layer, x.shape[1])
     if isinstance(layer, ConvLayer):
         return Tensor(conv2d(x, layer))
     if isinstance(layer, BatchNormLayer):
         return Tensor(batchnorm(x, layer, out=spare))
     if isinstance(layer, Activation):
         return Tensor(layer.kind.apply(x, out=spare))
-    if isinstance(layer, AvgPool):
-        return Tensor(avgpool2d(x, layer))
     if isinstance(layer, Linear):
         return Tensor(linear(x, layer))
     if isinstance(layer, Flatten):

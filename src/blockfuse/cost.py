@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import BatchNormLayer, ConvLayer, Linear
+from .core import ConvLayer, Linear, layer_arrays
 from .errors import GraphError
 from .graph import BlockAnnotation, LatencyTable, NetGraph, validate_graph
 
@@ -71,13 +71,7 @@ def node_flops(layer, out_dims) -> int:
 
 
 def _param_count(layer) -> int:
-    if isinstance(layer, ConvLayer):
-        return layer.weights.size + (layer.bias.size if layer.bias is not None else 0)
-    if isinstance(layer, Linear):
-        return layer.weight.size + (layer.bias.size if layer.bias is not None else 0)
-    if isinstance(layer, BatchNormLayer):
-        return 4 * layer.channels
-    return 0
+    return sum(arr.size for _, _, arr in layer_arrays(layer))
 
 
 def _numel(dims) -> int:

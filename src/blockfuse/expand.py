@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BatchNormLayer, ConvLayer
 from .errors import GraphError
-from .graph import NetGraph, irb, splice, topological_order, validate_graph
+from .graph import NetGraph, gain1_conv_init, irb, splice, topological_order, validate_graph
 
 EXPAND_RATIO = 6
 
@@ -41,12 +41,7 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
     """Apply the expansion rules; new blocks get fresh seeded weights and
     their own mask slots; block ids are re-indexed in network order."""
     validate_graph(graph)
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    def init_conv(c_out, c_in_per_group, k):
-        # gain-1 init: stable magnitudes even with all new activations masked off
-        fan_in = c_in_per_group * k * k
-        return rng.standard_normal((c_out, c_in_per_group, k, k)) * np.sqrt(1.0 / fan_in)
+    init_conv = gain1_conv_init(np.random.Generator(np.random.PCG64(seed)))
 
     irb_blocks = sorted((b for b in graph.blocks if b.kind == "inverted_residual"),
                         key=lambda b: b.block_id)

@@ -23,7 +23,7 @@ from .core import (
     Linear,
 )
 from .errors import GraphError
-from .graph import BlockAnnotation, NetGraph, Node, irb, validate_graph
+from .graph import BlockAnnotation, NetGraph, Node, gain1_conv_init, irb, validate_graph
 
 # Reference mask vectors (1 = activations kept) for the MobileNetV2
 # fixtures; rows are directly usable as structural fixtures.
@@ -57,17 +57,11 @@ def make_divisible(value: float, divisor: int = 8) -> int:
 class _Builder:
     def __init__(self, input_dims, seed: int):
         self.rng = np.random.Generator(np.random.PCG64(seed))
+        self._conv_weights = gain1_conv_init(self.rng)
         self.nodes: List[Node] = []
         self.blocks: List[BlockAnnotation] = []
         self.input_dims = tuple(input_dims)
         self.tail: Tuple[str, ...] = ()
-
-    def _conv_weights(self, c_out, c_in_per_group, k):
-        # gain-1 init keeps magnitudes O(1) even when all activations are
-        # masked off and the network is fully linear
-        fan_in = c_in_per_group * k * k
-        return self.rng.standard_normal((c_out, c_in_per_group, k, k)) * \
-            np.sqrt(1.0 / fan_in)
 
     def _bn(self, c):
         gamma = 0.9 + 0.2 * self.rng.random(c)

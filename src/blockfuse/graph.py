@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .core import (
     Activation,
     ActivationKind,
@@ -69,6 +71,15 @@ class NetGraph:
 # The canonical op sequence of an inverted residual block (Add optional at the end).
 IRB_PATTERN = (ConvLayer, BatchNormLayer, Activation, ConvLayer, BatchNormLayer,
                Activation, ConvLayer, BatchNormLayer)
+
+
+def gain1_conv_init(rng: np.random.Generator) -> Callable:
+    """An `irb` conv_weights maker drawing from `rng` at gain 1, which keeps
+    magnitudes O(1) even in a fully linear (all masked off) network."""
+    def init(c_out, c_in_per_group, k):
+        fan_in = c_in_per_group * k * k
+        return rng.standard_normal((c_out, c_in_per_group, k, k)) * np.sqrt(1.0 / fan_in)
+    return init
 
 
 def irb(prefix: str, inputs: Tuple[str, ...], c_in: int, c_out: int,
@@ -178,7 +189,7 @@ def graph_sink(graph: NetGraph) -> Node:
     return sinks[0]
 
 
-def _check_block(graph: NetGraph, block: BlockAnnotation, index: Dict[str, Node],
+def _check_block(block: BlockAnnotation, index: Dict[str, Node],
                  consumers: Dict[str, List[str]], nested_ids: set) -> None:
     bid = block.block_id
     members = set(block.node_ids)
@@ -195,10 +206,8 @@ def _check_block(graph: NetGraph, block: BlockAnnotation, index: Dict[str, Node]
     entry_inputs = [i for i in entry.input_ids if i not in members]
     if len(entry.input_ids) > 1:
         raise GraphError(f"block {bid}: entry {entry.node_id!r} has multiple inputs")
-    interior = chain[:-1] if not add_ids else chain
-    for nid in interior:
-        outside = [c for c in consumers.get(nid, []) if c not in members]
-        if outside and nid != chain[-1]:
+    for nid in chain[:-1]:
+        if any(c not in members for c in consumers.get(nid, [])):
             raise GraphError(
                 f"block {bid}: interior node {nid!r} consumed outside the block"
             )
@@ -286,7 +295,7 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
             if a is not b and set(a.node_ids) < set(b.node_ids):
                 nested_ids.update(a.node_ids)
     for block in graph.blocks:
-        _check_block(graph, block, index, consumers, nested_ids)
+        _check_block(block, index, consumers, nested_ids)
     return shapes
 
 

@@ -31,6 +31,7 @@ from .core import (
     Flatten,
     Layer,
     Linear,
+    layer_arrays,
 )
 from .errors import FormatError, GraphError
 from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, validate_graph
@@ -292,67 +293,26 @@ def load_weights(path, payloads: bool = True) -> Dict[str, np.ndarray]:
     return table
 
 
-# weight-table naming convention: "<node_id>.<slot>"
-_BN_SLOTS = ("gamma", "beta", "mean", "var")
-
-
 def weights_of_graph(graph: NetGraph) -> Dict[str, np.ndarray]:
-    table: Dict[str, np.ndarray] = {}
-    for n in graph.nodes:
-        layer = n.layer
-        if isinstance(layer, ConvLayer):
-            table[f"{n.node_id}.weight"] = layer.weights
-            if layer.bias is not None:
-                table[f"{n.node_id}.bias"] = layer.bias
-        elif isinstance(layer, Linear):
-            table[f"{n.node_id}.weight"] = layer.weight
-            if layer.bias is not None:
-                table[f"{n.node_id}.bias"] = layer.bias
-        elif isinstance(layer, BatchNormLayer):
-            for slot, arr in zip(_BN_SLOTS, (layer.gamma, layer.beta,
-                                             layer.running_mean, layer.running_var)):
-                table[f"{n.node_id}.{slot}"] = arr
-    return table
+    """Every layer array of the graph, named "<node_id>.<slot>" (`core.layer_arrays`)."""
+    return {f"{n.node_id}.{slot}": arr for n in graph.nodes
+            for slot, _, arr in layer_arrays(n.layer)}
 
 
 def bind_weights(graph: NetGraph, table: Dict[str, np.ndarray]) -> NetGraph:
     """Return a graph whose parameterized layers carry arrays from the table."""
     nodes = []
     for n in graph.nodes:
-        layer = n.layer
-        if isinstance(layer, ConvLayer):
-            layer = replace(
-                layer,
-                weights=_pick(table, n.node_id, "weight", layer.weights.shape),
-                bias=(_pick(table, n.node_id, "bias", layer.bias.shape)
-                      if layer.bias is not None else None),
-            )
-        elif isinstance(layer, Linear):
-            layer = replace(
-                layer,
-                weight=_pick(table, n.node_id, "weight", layer.weight.shape),
-                bias=(_pick(table, n.node_id, "bias", layer.bias.shape)
-                      if layer.bias is not None else None),
-            )
-        elif isinstance(layer, BatchNormLayer):
-            c = (layer.channels,)
-            layer = BatchNormLayer(
-                _pick(table, n.node_id, "gamma", c), _pick(table, n.node_id, "beta", c),
-                _pick(table, n.node_id, "mean", c), _pick(table, n.node_id, "var", c),
-                layer.epsilon,
-            )
-        nodes.append(replace(n, layer=layer))
+        arrays = {}
+        for slot, field, old in layer_arrays(n.layer):
+            name = f"{n.node_id}.{slot}"
+            if name not in table:
+                raise GraphError(f"weights table missing array {name!r}")
+            arrays[field] = arr = np.asarray(table[name])
+            if arr.shape != old.shape:
+                raise GraphError(f"{name}: shape {arr.shape} != expected {old.shape}")
+        nodes.append(replace(n, layer=replace(n.layer, **arrays)) if arrays else n)
     return replace(graph, nodes=tuple(nodes))
-
-
-def _pick(table, node_id, slot, shape):
-    name = f"{node_id}.{slot}"
-    if name not in table:
-        raise GraphError(f"weights table missing array {name!r}")
-    arr = np.asarray(table[name])
-    if tuple(arr.shape) != tuple(shape):
-        raise GraphError(f"{name}: shape {arr.shape} != expected {tuple(shape)}")
-    return arr
 
 
 def save_mask(mask, path) -> None:
@@ -367,9 +327,10 @@ def load_mask(path) -> List[int]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, list) or any(v not in (0, 1) for v in doc):
-        raise FormatError(f"{path}: mask must be a JSON array of 0/1")
-    return [int(v) for v in doc]
+    # the type check keeps JSON true and 1.0 from passing as 1
+    if not isinstance(doc, list) or any(type(v) is not int or v not in (0, 1) for v in doc):
+        raise FormatError(f"{path}: mask must be a JSON array of the integers 0 and 1")
+    return doc
 
 
 def save_latency_table(table: LatencyTable, path) -> None:
@@ -387,6 +348,7 @@ def load_latency_table(path) -> LatencyTable:
         if header != ["block_id", "latency_ms"]:
             raise FormatError(f"{path}: expected header 'block_id,latency_ms'")
         entries = []
+        seen = set()
         for row in reader:
             if not row:
                 continue
@@ -394,7 +356,11 @@ def load_latency_table(path) -> LatencyTable:
                 block_id, latency = int(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}: bad row {row!r}: {exc}") from exc
-            if latency <= 0:
-                raise FormatError(f"{path}: latency for block {block_id} must be > 0")
+            if not 0 < latency < math.inf:  # NaN compares False
+                raise FormatError(f"{path}: latency for block {block_id} must be finite "
+                                  f"and > 0, got {row[1]!r}")
+            if block_id in seen:
+                raise FormatError(f"{path}: block_id {block_id} has more than one row")
+            seen.add(block_id)
             entries.append((block_id, latency))
     return LatencyTable(tuple(entries))

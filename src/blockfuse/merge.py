@@ -9,21 +9,22 @@ a zero-padded conv changes the border). Merges are therefore exact at every
 output position whatever the biases, BN shifts and running means.
 
 Fold order: each BN folds into the conv right before it while that kernel is
-small, and only then do the convs compose; a BN with no conv before it becomes
-a 1x1 conv or folds into the kernel composed so far.
+small, and only then does the chain compose. Every layer composes as a conv:
+a BN with no conv right before it as the depthwise 1x1 conv of its scale
+(`bn_to_conv`), an average pool as the depthwise conv with every tap 1/k^2
+(`core.pool_conv`).
 
 Composition of two convs (cross-correlation orientation, stride-aware):
 merged kernel size d = (d2 - 1) * s1 + d1, stride s1 * s2, padding
 p1 + s1 * p2, with second-kernel taps spaced s1 apart in the merged kernel.
 A depthwise second conv composes directly, as a per-output-channel scale of
-the first kernel at each tap; the dense lift is only for average pools,
-general grouped convs and a chain that opens with a depthwise conv. L is
-inexact only where a zero-padded conv follows a kernel wider than 1x1, and
-`merge_chain` raises on such a chain.
+the first kernel at each tap; the dense lift is only for the chain's first
+conv and for general grouped convs. L is inexact only where a zero-padded
+conv follows a kernel wider than 1x1, and `merge_chain` raises on such a
+chain.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +40,7 @@ from .core import (
     Tensor,
     execute_layer,
     layer_out_dims,
+    pool_conv,
 )
 from .cost import node_flops
 from .errors import BlockfuseError, MergeError, ShapeError
@@ -65,25 +67,14 @@ def fold_bn_into_conv(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
 
 
 def bn_to_conv(bn: BatchNormLayer) -> ConvLayer:
-    """Express a BN as an equivalent 1x1 dense conv."""
+    """Express a BN as the equivalent depthwise 1x1 conv."""
     scale, shift = bn.scale_shift()
     c = bn.channels
-    weights = np.zeros((c, c, 1, 1))
-    weights[np.arange(c), np.arange(c), 0, 0] = scale
-    return ConvLayer(1, 1, 1, 0, 1, c, c, weights, bias=shift.copy())
+    return ConvLayer(1, 1, 1, 0, c, c, c, scale[:, None, None, None], bias=shift)
 
 
-def lift_to_dense(layer, channels: Optional[int] = None) -> ConvLayer:
-    """Rewrite a grouped conv or average pool as a dense (groups=1) conv."""
-    if isinstance(layer, AvgPool):
-        if channels is None:
-            raise MergeError("lifting an AvgPool requires the channel count")
-        k = layer.kernel
-        weights = np.zeros((channels, channels, k, k))
-        weights[np.arange(channels), np.arange(channels)] = 1.0 / (k * k)
-        return ConvLayer(k, k, layer.stride, 0, 1, channels, channels, weights)
-    if not isinstance(layer, ConvLayer):
-        raise MergeError(f"cannot lift {type(layer).__name__} to a dense conv")
+def lift_to_dense(layer: ConvLayer) -> ConvLayer:
+    """Rewrite a grouped conv as a dense (groups=1) conv."""
     if layer.groups == 1:
         return layer
     cg_in = layer.c_in // layer.groups
@@ -197,22 +188,16 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
     # are dropped for f(0) at the end
     acc: Optional[ConvLayer] = None
     for nid, layer in linear:
-        if isinstance(layer, BatchNormLayer):  # no conv before it
-            if acc is None:
-                nxt = bn_to_conv(layer)
-            else:
-                acc = fold_bn_into_conv(acc, layer)
-                continue
+        if isinstance(layer, BatchNormLayer):  # no conv right before it
+            conv = bn_to_conv(layer)
         elif isinstance(layer, AvgPool):
-            if acc is None:
-                raise MergeError("chain must not start with an average pool")
-            nxt = lift_to_dense(layer, channels=acc.c_out)
+            conv = pool_conv(layer, in_dims[1] if acc is None else acc.c_out)
         elif isinstance(layer, ConvLayer):
-            # compose_convs takes a depthwise conv as its second argument only
-            nxt = layer if acc is not None and layer.is_depthwise \
-                else lift_to_dense(layer)
+            conv = layer
         else:
             raise MergeError(f"layer {type(layer).__name__} at {nid!r} is not linear")
+        # compose_convs takes a dense first conv and a dense or depthwise second
+        nxt = conv if acc is not None and conv.is_depthwise else lift_to_dense(conv)
         if acc is None:
             acc = nxt
         elif nxt.padding and acc.kernel_h > 1:
@@ -277,11 +262,6 @@ class ShrinkReport:
 
     def to_json(self) -> list:
         return [vars(r) for r in self.records]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
 
 
 def _containment_order(blocks) -> List[BlockAnnotation]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from blockfuse.autodiff import (
 from blockfuse.core import (
     Activation,
     ActivationKind,
+    AvgPool,
     BatchNormLayer,
     ConvLayer,
     Tensor,
@@ -245,6 +248,30 @@ class TestParameterGradients:
             a = float(grad[idx])
             assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1e-4), \
                 f"bias{idx}: analytic {a} vs fd {fd}"
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_avgpool_input_gradient_matches_finite_differences(self, rng, stride):
+        # a conv's bias map gradient is the gradient at its output, here the
+        # pool's input, summed over the batch; at stride 2 on 8 px the last row
+        # and column feed no window
+        conv = replace(random_conv(rng, 2, 2, 3), bias=rng.standard_normal((2, 8, 8)))
+        graph = NetGraph((Node("conv", conv, ()),
+                          Node("pool", AvgPool(3, stride), ("conv",))), (2, 2, 8, 8))
+        params = extract_params(graph)
+        x = rng.standard_normal((2, 2, 8, 8))
+        out, tape = forward_masked(graph, params, None, x)
+        lw = rng.standard_normal(out.shape)
+        grad = backward(tape, lw)[0]["conv.bias"]
+        if stride == 2:
+            assert not grad[:, 7].any() and not grad[:, :, 7].any()
+        h = 1e-6
+        for idx in np.ndindex(grad.shape):
+            p = {k: v.copy() for k, v in params.items()}
+            p["conv.bias"][idx] += h
+            up = np.vdot(forward_untaped(graph, p, None, x), lw)
+            p["conv.bias"][idx] -= 2 * h
+            down = np.vdot(forward_untaped(graph, p, None, x), lw)
+            assert abs(grad[idx] - (up - down) / (2 * h)) <= 1e-8 * max(abs(grad[idx]), 1)
 
     def test_bn_statistics_get_no_gradients(self):
         graph, params, x, lw = _scalar_loss_setup()

@@ -66,6 +66,27 @@ class TestCost:
         lat.write_text("block_id,latency_ms\n0,1.0\n1,2.0\n")
         assert run(["cost", "--graph", str(out), "--latency", str(lat)]) == 0
 
+    # a NaN latency once gave NaN scores and an arbitrary mask, an infinite one an
+    # infinite total, and a repeated block_id silently kept its last row
+    @pytest.mark.parametrize("rows,command,message", [
+        ("0,nan\n1,1\n2,1\n", "search", "finite and > 0"),
+        ("0,inf\n1,1\n2,1\n", "cost", "finite and > 0"),
+        ("0,1\n0,5\n1,1\n2,1\n", "cost", "block_id 0 has more than one row"),
+    ], ids=["nan", "inf", "repeated-block"])
+    def test_bad_latency_rows_exit_1(self, tmp_path, capsys, rows, command, message):
+        out = _gen(tmp_path, "toy-irb-3")
+        lat = tmp_path / "lat.csv"
+        lat.write_text("block_id,latency_ms\n" + rows)
+        argv = {"cost": ["cost", "--graph", str(out)],
+                "search": ["search", "--graph", str(out), "--k", "1", "--decay", "0.1",
+                           "--epochs", "1", "--data-samples", "16",
+                           "--out", str(tmp_path / "search")]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--latency", str(lat)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and message in err["message"]
+        assert not (tmp_path / "search").exists()
+
 
     def test_reads_no_weight_payloads(self, tmp_path, capsys):
         out = _gen(tmp_path, name="mbv2")
@@ -467,6 +488,18 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GraphError"
         assert "block0_merged.bias" in err["message"]
+
+    @pytest.mark.parametrize("mask", ["[true, false]", "[1.0, 0]", "[1, false]"])
+    def test_mask_of_booleans_or_floats_exits_1(self, tmp_path, capsys, mask):
+        out = _gen(tmp_path)
+        bad = tmp_path / "mask.json"
+        bad.write_text(mask)
+        rc = run(["shrink", "--graph", str(out), "--mask", str(bad),
+                  "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and "integers 0 and 1" in err["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_bad_mask_file_exits_1(self, tmp_path, capsys):
         out = _gen(tmp_path)

@@ -277,6 +277,49 @@ class TestOtherLayers:
         out = execute_layer(AvgPool(2, 2), x)
         np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
+    # 1/9 is inexact, so the pool, a sum of x/9 terms, is not the rounded mean;
+    # 11 px runs the im2col forward, 5 px the channels-last one
+    @pytest.mark.parametrize("precision,tol", [("f64", 1e-14), ("f32", 1e-6)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("size", [11, 5])
+    def test_avgpool_is_the_window_mean(self, rng, precision, tol, stride, size):
+        x = Tensor.of(rng.standard_normal((2, 3, size, size + 1)), precision)
+        out = execute_layer(AvgPool(3, stride), x).data
+        oh, ow = (size - 3) // stride + 1, (size - 2) // stride + 1
+        expect = np.empty((2, 3, oh, ow))
+        for i in range(oh):
+            for j in range(ow):
+                win = x.data[:, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                expect[:, :, i, j] = win.astype(np.float64).mean(axis=(2, 3))
+        assert out.dtype == x.data.dtype and out.shape == expect.shape
+        assert np.max(np.abs(out - expect)) <= tol * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("make,slots", [
+        (lambda rng: random_conv(rng, 2, 3, 3), {"weight": "weights"}),
+        (lambda rng: random_conv(rng, 2, 3, 3, bias=True),
+         {"weight": "weights", "bias": "bias"}),
+        (lambda rng: replace(random_conv(rng, 2, 3, 3),
+                             bias=rng.standard_normal((3, 4, 4))),
+         {"weight": "weights", "bias": "bias"}),
+        (lambda rng: Linear(rng.standard_normal((2, 5)), rng.standard_normal(2)),
+         {"weight": "weight", "bias": "bias"}),
+        (lambda rng: Linear(rng.standard_normal((2, 5))), {"weight": "weight"}),
+        (lambda rng: BatchNormLayer(rng.random(3), rng.random(3), rng.random(3),
+                                    rng.random(3)),
+         {"gamma": "gamma", "beta": "beta", "mean": "running_mean",
+          "var": "running_var"}),
+        (lambda rng: AvgPool(2, 2), {}),
+        (lambda rng: Activation(), {}),
+        (lambda rng: Add(), {}),
+        (lambda rng: core.Flatten(), {}),
+    ], ids=["conv", "conv-bias", "conv-bias-map", "linear-bias", "linear", "bn",
+            "avgpool", "act", "add", "flatten"])
+    def test_layer_arrays_lists_exactly_the_layer_arrays(self, rng, make, slots):
+        layer = make(rng)
+        listed = list(core.layer_arrays(layer))
+        assert [(slot, name) for slot, name, _ in listed] == list(slots.items())
+        assert all(arr is getattr(layer, name) for _, name, arr in listed)
+
     def test_linear(self, rng):
         w = rng.standard_normal((3, 8))
         b = rng.standard_normal(3)

@@ -581,6 +581,26 @@ class TestMaskAndLatencyFiles:
         with pytest.raises(FormatError, match="header"):
             io.load_latency_table(path)
 
+    def test_mask_rejects_booleans_and_floats(self, tmp_path):
+        # JSON true == 1 and 1.0 == 1 in Python; neither is a mask entry
+        path = tmp_path / "mask.json"
+        path.write_text("[true, false, 1.0]")
+        with pytest.raises(FormatError, match="integers 0 and 1"):
+            io.load_mask(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_latency_must_be_finite_and_positive(self, tmp_path, value):
+        path = tmp_path / "lat.csv"
+        path.write_text(f"block_id,latency_ms\n0,{value}\n")
+        with pytest.raises(FormatError, match="finite and > 0"):
+            io.load_latency_table(path)
+
+    def test_latency_block_ids_are_unique(self, tmp_path):
+        path = tmp_path / "lat.csv"
+        path.write_text("block_id,latency_ms\n0,1\n1,2\n0,5\n")
+        with pytest.raises(FormatError, match="block_id 0 has more than one row"):
+            io.load_latency_table(path)
+
     def test_latency_must_be_positive(self, tmp_path):
         path = tmp_path / "lat.csv"
         path.write_text("block_id,latency_ms\n0,-1.0\n")

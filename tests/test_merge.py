@@ -11,6 +11,7 @@ from blockfuse.core import (
     Linear,
     Tensor,
     execute_layer,
+    pool_conv,
 )
 from blockfuse.errors import GraphError, MergeError
 from blockfuse.graph import NetGraph, Node, execute_graph, validate_graph
@@ -54,7 +55,11 @@ class TestFolding:
         x = Tensor.of(rng.standard_normal((1, 4, 5, 5)))
         seq = execute_layer(bn, x).data
         conv = bn_to_conv(bn)
-        assert conv.kernel_h == 1 and conv.groups == 1
+        assert (conv.kernel_h, conv.kernel_w, conv.stride, conv.padding) == (1, 1, 1, 0)
+        assert conv.is_depthwise and conv.c_in == 4
+        scale, shift = bn.scale_shift()
+        np.testing.assert_array_equal(conv.weights[:, 0, 0, 0], scale)
+        np.testing.assert_array_equal(conv.bias, shift)
         assert _max_err(seq, execute_layer(conv, x).data) <= 1e-12
 
 
@@ -75,13 +80,17 @@ class TestLifting:
                         execute_layer(dense, x).data) <= 1e-12
 
     def test_avgpool_lift(self, rng):
-        pool = AvgPool(2, 2)
-        dense = lift_to_dense(pool, channels=3)
-        x = Tensor.of(rng.standard_normal((1, 3, 6, 6)))
-        assert _max_err(execute_layer(pool, x).data,
-                        execute_layer(dense, x).data) <= 1e-12
-        with pytest.raises(MergeError):
-            lift_to_dense(pool)
+        # a pool needs no lift of its own: it is the depthwise conv `pool_conv`,
+        # which lifts as every depthwise conv does
+        pool = AvgPool(3, 2)
+        conv = pool_conv(pool, 3)
+        assert (conv.kernel_h, conv.kernel_w, conv.stride, conv.padding) == (3, 3, 2, 0)
+        assert conv.is_depthwise and conv.c_in == 3 and conv.bias is None
+        np.testing.assert_array_equal(conv.weights, np.full((3, 1, 3, 3), 1 / 9))
+        x = Tensor.of(rng.standard_normal((1, 3, 7, 7)))
+        expect = execute_layer(pool, x).data
+        assert _max_err(expect, execute_layer(conv, x).data) <= 1e-12
+        assert _max_err(expect, execute_layer(lift_to_dense(conv), x).data) <= 1e-12
 
 
 class TestCompose:
@@ -309,6 +318,17 @@ class TestMergeChain:
         seq = run_chain(chain, x).data
         merged = merge_chain(chain, False, x.dims)
         assert _max_err(seq, execute_layer(merged, x).data) <= 1e-12
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 1), (3, 2)])
+    def test_pool_first_chain(self, rng, k, s):
+        chain = [("pool", AvgPool(k, s)),
+                 ("bn", random_bn(rng, 4, biased=True)),
+                 ("pw", random_conv(rng, 4, 3, 1, padding=0, bias=True)),
+                 ("bn2", random_bn(rng, 3, biased=True))]
+        x = Tensor.of(rng.standard_normal((2, 4, 9, 9)))
+        merged = merge_chain(chain, False, x.dims)
+        assert (merged.kernel_h, merged.stride, merged.padding) == (k, s, 0)
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-12
 
     def test_empty_chain(self):
         with pytest.raises(MergeError):
