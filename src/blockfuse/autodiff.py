@@ -146,17 +146,8 @@ def backward(tape: GradTape, loss_grad: np.ndarray
     pgrads: Dict[str, np.ndarray] = {}
     m_grad = np.zeros(tape.n_blocks)
 
-    def accumulate(key: str, value: np.ndarray):
-        if key in pgrads:
-            pgrads[key] = pgrads[key] + value
-        else:
-            pgrads[key] = value
-
-    def send(ref: str, value: np.ndarray):
-        if ref in grads:
-            grads[ref] = grads[ref] + value
-        else:
-            grads[ref] = value
+    def add_to(table: Dict[str, np.ndarray], key: str, value: np.ndarray):
+        table[key] = table[key] + value if key in table else value
 
     for entry in reversed(tape.entries):
         nid = entry.node.node_id
@@ -167,17 +158,17 @@ def backward(tape: GradTape, loss_grad: np.ndarray
         if isinstance(layer, ConvLayer):
             dx, dw, db = conv_backward(dout, entry.inputs[0], layer.weights, layer.stride,
                                        layer.padding, layer.groups)
-            accumulate(f"{nid}.weight", dw)
+            add_to(pgrads, f"{nid}.weight", dw)
             if layer.bias is not None:  # a bias map gets a per-position gradient
-                accumulate(f"{nid}.bias", db if layer.bias.ndim == 1 else dout.sum(axis=0))
+                add_to(pgrads, f"{nid}.bias", db if layer.bias.ndim == 1 else dout.sum(axis=0))
             dins = [dx]
         elif isinstance(layer, BatchNormLayer):
             # d gamma = sum(dout * xhat) from per-channel sums, with no xhat tensor
             inv_std = 1.0 / np.sqrt(layer.running_var + layer.epsilon)
             dsum = dout.sum(axis=(0, 2, 3))
             dx_sum = np.einsum("nchw,nchw->c", dout, entry.inputs[0])
-            accumulate(f"{nid}.gamma", (dx_sum - layer.running_mean * dsum) * inv_std)
-            accumulate(f"{nid}.beta", dsum)
+            add_to(pgrads, f"{nid}.gamma", (dx_sum - layer.running_mean * dsum) * inv_std)
+            add_to(pgrads, f"{nid}.beta", dsum)
             dins = [dout * (layer.gamma * inv_std)[None, :, None, None]]
         elif isinstance(layer, Activation):
             # dout * (g * dact + (1 - g)), which is dout at a gate of 0 and
@@ -201,9 +192,9 @@ def backward(tape: GradTape, loss_grad: np.ndarray
         elif isinstance(layer, Linear):
             flat = entry.inputs[0].reshape(entry.inputs[0].shape[0], -1)
             dflat = dout.reshape(dout.shape[0], -1)
-            accumulate(f"{nid}.weight", dflat.T @ flat)
+            add_to(pgrads, f"{nid}.weight", dflat.T @ flat)
             if layer.bias is not None:
-                accumulate(f"{nid}.bias", dflat.sum(axis=0))
+                add_to(pgrads, f"{nid}.bias", dflat.sum(axis=0))
             dins = [(dflat @ layer.weight).reshape(entry.inputs[0].shape)]
         elif isinstance(layer, Flatten):
             dins = [dout.reshape(entry.inputs[0].shape)]
@@ -212,5 +203,5 @@ def backward(tape: GradTape, loss_grad: np.ndarray
         else:
             raise TypeError(f"unknown layer {type(layer)!r}")
         for ref, dval in zip(entry.node.input_ids, dins):
-            send(ref, dval)
+            add_to(grads, ref, dval)
     return pgrads, m_grad

@@ -47,7 +47,8 @@ def _resolve(path_arg: str, weights_arg=None, payloads: bool = True):
     return graph
 
 
-def _write_outputs(out_dir: Path, graph=None, weights=None, mask=None, report=None):
+def _write_outputs(out_dir: Path, graph=None, weights=None, mask=None, report=None,
+                   log=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     if graph is not None:
         io.save_graph(graph, out_dir / "graph.json")
@@ -59,19 +60,28 @@ def _write_outputs(out_dir: Path, graph=None, weights=None, mask=None, report=No
         with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-
-
-def _load_dataset(args):
-    if getattr(args, "data", None):
-        return load_dataset_raw(args.data)
-    return synthetic_two_class(args.data_samples, 3, args.image_size,
-                               seed=args.seed)
+    if log is not None:
+        write_log(log, out_dir / "log.jsonl")
 
 
 def _add_seed(p, precision: bool = False):
     p.add_argument("--seed", type=int, default=0)
     if precision:
         p.add_argument("--precision", choices=("f32", "f64"), default="f64")
+
+
+def _add_training(p):
+    """The arguments `search` and `finetune` share."""
+    p.add_argument("--graph", required=True)
+    p.add_argument("--weights")
+    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--data", help="raw dataset file; default: synthetic toy set")
+    p.add_argument("--data-samples", type=int, default=128)
+    p.add_argument("--image-size", type=int, default=8)
+    p.add_argument("--out", required=True)
+    _add_seed(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,27 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p, precision=True)
 
     p = sub.add_parser("search", help="differentiable top-k activation search")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weights")
+    _add_training(p)
     p.add_argument("--latency")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--decay", type=float, default=0.0)
-    p.add_argument("--data", help="raw dataset file; default: synthetic toy set")
-    p.add_argument("--data-samples", type=int, default=128)
-    p.add_argument("--image-size", type=int, default=8)
-    p.add_argument("--out", required=True)
-    _add_seed(p)
 
     p = sub.add_parser("finetune", help="fine-tune a mask-applied network")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weights")
+    _add_training(p)
     p.add_argument("--mask", required=True)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--label-smoothing", type=float, default=0.0)
     p.add_argument("--distill", action="store_true",
                    help="self-distill from the unmasked original network")
@@ -140,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distill-temperature", type=float, default=1.0)
     p.add_argument("--free-act", action="store_true",
                    help="insert free ReLU6 nodes after to-be-merged blocks")
-    p.add_argument("--data")
-    p.add_argument("--data-samples", type=int, default=128)
-    p.add_argument("--image-size", type=int, default=8)
-    p.add_argument("--out", required=True)
-    _add_seed(p)
 
     p = sub.add_parser("expand", help="expand convs into mergeable IRBs")
     p.add_argument("--graph", required=True)
@@ -210,47 +202,48 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    graph = _resolve(args.graph, args.weights)
-    latency = io.load_latency_table(args.latency) if args.latency else None
-    dataset = _load_dataset(args)
+def _training_inputs(args, **settings):
+    """The TrainConfig, graph and dataset of a `search` or `finetune` run;
+    `settings` are the TrainConfig fields only one of the two commands sets."""
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                      seed=args.seed, decay_strength=args.decay)
+                      seed=args.seed, **settings)
+    graph = _resolve(args.graph, args.weights)
+    dataset = load_dataset_raw(args.data) if args.data else \
+        synthetic_two_class(args.data_samples, 3, args.image_size, seed=args.seed)
+    return cfg, graph, dataset
+
+
+def _cmd_search(args) -> int:
+    cfg, graph, dataset = _training_inputs(args, decay_strength=args.decay)
+    latency = io.load_latency_table(args.latency) if args.latency else None
     log: list = []
     state, ranked, params = search_masks(graph, extract_params(graph), dataset,
                                          latency, cfg, args.k, log=log)
-    out = Path(args.out)
     mask = [int(v) for v in state.m_hat]
-    _write_outputs(out, graph=graph, weights=params, mask=mask,
+    _write_outputs(Path(args.out), graph=graph, weights=params, mask=mask, log=log,
                    report={"scores": state.m.tolist(), "k": state.k,
                            "ranked_for_removal": ranked})
-    write_log(log, out / "log.jsonl")
     print(f"kept blocks (mask=1): {[i for i, v in enumerate(mask) if v]}; "
           f"removal ranking: {ranked}")
     return 0
 
 
 def _cmd_finetune(args) -> int:
-    graph = _resolve(args.graph, args.weights)
+    cfg, graph, dataset = _training_inputs(
+        args, distill="on" if args.distill else "off", distill_alpha=args.distill_alpha,
+        distill_temperature=args.distill_temperature,
+        label_smoothing=args.label_smoothing)
     mask = io.load_mask(args.mask)
     student = apply_mask_vector(graph, mask)
     if args.free_act:
         student = insert_free_activations(student, mask)
-    dataset = _load_dataset(args)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                      seed=args.seed, distill="on" if args.distill else "off",
-                      distill_alpha=args.distill_alpha,
-                      distill_temperature=args.distill_temperature,
-                      label_smoothing=args.label_smoothing)
     teacher = (graph, extract_params(graph)) if args.distill else None
     log: list = []
     params = finetune(student, extract_params(student), dataset, cfg,
                       teacher=teacher, log=log)
-    out = Path(args.out)
     acc = accuracy(student, params, dataset)
-    _write_outputs(out, graph=student, weights=params, mask=mask,
+    _write_outputs(Path(args.out), graph=student, weights=params, mask=mask, log=log,
                    report={"train_accuracy": acc})
-    write_log(log, out / "log.jsonl")
     print(f"fine-tuned {cfg.epochs} epochs; train accuracy {acc:.3f}")
     return 0
 

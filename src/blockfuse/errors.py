@@ -21,5 +21,9 @@ class FormatError(BlockfuseError):
     """File-format violation in graph/weights/mask/latency files."""
 
 
+class ConfigError(BlockfuseError, ValueError):
+    """A setting out of its range, such as a training config with zero epochs."""
+
+
 class MergeError(BlockfuseError):
     """A merge precondition does not hold (e.g. activations still present)."""

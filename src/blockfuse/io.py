@@ -87,7 +87,8 @@ def _placeholder(shape: tuple, dtype=np.float64) -> np.ndarray:
 def _layer_from_json(op: str, params: dict, path: str) -> Layer:
     try:
         if op == "conv":
-            _check_at_least(params, ("kernel_h", "kernel_w", "stride", "groups"), 1, path)
+            _check_at_least(params, ("kernel_h", "kernel_w", "stride", "groups", "c_in",
+                                     "c_out"), 1, path)
             _check_at_least(params, ("padding",), 0, path)
             c_out = params["c_out"]
             shape = (c_out, params["c_in"] // params["groups"],
@@ -105,6 +106,7 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
                 bias=_placeholder((c_out, *(hw or ()))) if params.get("has_bias") else None,
             )
         if op == "bn":
+            _check_at_least(params, ("channels",), 1, path)
             c = params["channels"]
             return BatchNormLayer(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c),
                                   params.get("epsilon", 1e-5))
@@ -114,6 +116,7 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
             _check_at_least(params, ("kernel", "stride"), 1, path)
             return AvgPool(params["kernel"], params["stride"])
         if op == "linear":
+            _check_at_least(params, ("in_features", "out_features"), 1, path)
             shape = (params["out_features"], params["in_features"])
             bias = _placeholder((params["out_features"],)) if params.get("has_bias") else None
             return Linear(_placeholder(shape), bias)
@@ -166,8 +169,8 @@ def graph_from_json(doc: dict) -> NetGraph:
         input_dims = tuple(int(v) for v in doc["input_dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"$.input_dims: {exc}") from exc
-    if len(input_dims) != 4:
-        raise FormatError("$.input_dims: must have 4 entries")
+    if len(input_dims) != 4 or min(input_dims) < 1:
+        raise FormatError(f"$.input_dims: must be 4 entries >= 1, got {list(input_dims)}")
     nodes = []
     for i, rec in enumerate(_typed(doc.get("nodes", []), list, "$.nodes")):
         path = f"$.nodes[{i}]"

@@ -1,6 +1,9 @@
 """Desk-scale training: mask search with latency-aware L1 decay, and
 fine-tuning with optional self-distillation against the unmodified network.
 
+Both run one loop, `_train`: cross-entropy (plus distillation with a teacher),
+`backward`, SGD on the unfrozen parameters, and with a `MaskState` the
+straight-through score step with its latency-weighted L1 decay.
 Training draws no random numbers: batches come in dataset order (nothing reads
 `TrainConfig.seed`), and the optimizer is SGD with momentum and a cosine schedule.
 `--seed` on `search`/`finetune` seeds only the synthetic dataset (numpy's PCG64).
@@ -16,7 +19,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .autodiff import MaskState, backward, forward_masked, forward_untaped
-from .errors import FormatError, GraphError, ShapeError
+from .core import BatchNormLayer
+from .cost import latency_decay_weights
+from .errors import ConfigError, FormatError, GraphError, ShapeError
 from .graph import LatencyTable, NetGraph, checked_mask
 
 
@@ -35,15 +40,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.lr <= 0:
-            raise ValueError("epochs, batch_size and lr must be positive")
+            raise ConfigError("epochs, batch_size and lr must be positive")
+        if self.decay_strength < 0:
+            raise ConfigError("decay_strength must be >= 0")
         if self.distill not in ("off", "on"):
-            raise ValueError("distill must be 'off' or 'on'")
+            raise ConfigError("distill must be 'off' or 'on'")
         if not 0.0 <= self.distill_alpha <= 1.0:
-            raise ValueError("distill_alpha must be in [0, 1]")
+            raise ConfigError("distill_alpha must be in [0, 1]")
         if self.distill_temperature <= 0:
-            raise ValueError("distill_temperature must be > 0")
+            raise ConfigError("distill_temperature must be > 0")
         if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
+            raise ConfigError("label_smoothing must be in [0, 1)")
 
 
 Dataset = Tuple[np.ndarray, np.ndarray]  # (images (N,c,h,w) f64, labels (N,) int)
@@ -171,6 +178,46 @@ def accuracy(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
     return hits / len(dataset[0])
 
 
+def _train(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
+           cfg: TrainConfig, state: Optional[MaskState] = None,
+           teacher: Optional[Tuple[NetGraph, Dict[str, np.ndarray]]] = None,
+           frozen: frozenset = frozenset(), log: Optional[List[dict]] = None
+           ) -> Dict[str, np.ndarray]:
+    """The training loop of both stages; returns the trained parameters. Scores
+    in `state` train in place; a `teacher` adds the distillation term."""
+    if len(dataset[0]) == 0:
+        raise GraphError("empty dataset")
+    params = dict(params)
+    opt = SGD(cfg.momentum)
+    batches = [b for _ in range(cfg.epochs) for b in _batches(dataset, cfg.batch_size)]
+    for step, (xb, yb) in enumerate(batches):
+        lr = cosine_lr(cfg.lr, step, len(batches))
+        out, tape = forward_masked(graph, params, state, xb)
+        logits = _logits(out)
+        loss, dlogits = cross_entropy(logits, yb, cfg.label_smoothing)
+        if teacher is not None:
+            t_out = forward_untaped(*teacher, None, xb)
+            kd_loss, kd_grad = distill_divergence(
+                logits, _logits(t_out), cfg.distill_temperature)
+            loss += cfg.distill_alpha * kd_loss
+            dlogits = dlogits + cfg.distill_alpha * kd_grad
+        pgrads, m_grad = backward(tape, dlogits.reshape(out.shape))
+        if frozen:
+            pgrads = {k: v for k, v in pgrads.items() if k not in frozen}
+        opt.step(params, pgrads, lr)
+        decay_term, kept = 0.0, len(graph.blocks)
+        if state is not None:
+            decay_term = float(cfg.decay_strength * np.sum(state.lam * np.abs(state.m)))
+            # straight-through update of m plus latency-weighted L1 decay
+            state.m = state.m - lr * (m_grad +
+                                      cfg.decay_strength * state.lam * np.sign(state.m))
+            kept = int(state.m_hat.sum())
+        if log is not None:
+            log.append({"step": step, "loss": loss, "decay_term": decay_term,
+                        "kept_blocks": kept, "lr": lr})
+    return params
+
+
 def search_masks(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Dataset,
                  latency: Optional[LatencyTable], cfg: TrainConfig, k: int,
                  log: Optional[List[dict]] = None
@@ -181,33 +228,10 @@ def search_masks(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Datas
     n_blocks = len(graph.blocks)
     if not 0 <= k <= n_blocks:
         raise GraphError(f"k={k} out of range for {n_blocks} blocks")
-    if len(dataset[0]) == 0:
-        raise GraphError("empty dataset")
-    from .cost import latency_decay_weights  # local import avoids cycle at module load
-
     lam = latency_decay_weights(latency, graph) if latency is not None \
         else np.ones(n_blocks)
     state = MaskState(np.ones(n_blocks), k, lam)
-    params = dict(weights)
-    opt = SGD(cfg.momentum)
-    n_batches = (len(dataset[0]) + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * n_batches
-    step = 0
-    for _ in range(cfg.epochs):
-        for xb, yb in _batches(dataset, cfg.batch_size):
-            lr = cosine_lr(cfg.lr, step, total_steps)
-            out, tape = forward_masked(graph, params, state, xb)
-            loss, dlogits = cross_entropy(_logits(out), yb, cfg.label_smoothing)
-            pgrads, m_grad = backward(tape, dlogits.reshape(out.shape))
-            opt.step(params, pgrads, lr)
-            decay_term = float(cfg.decay_strength * np.sum(state.lam * np.abs(state.m)))
-            # straight-through update of m plus latency-weighted L1 decay
-            state.m = state.m - lr * (m_grad +
-                                      cfg.decay_strength * state.lam * np.sign(state.m))
-            if log is not None:
-                log.append({"step": step, "loss": loss, "decay_term": decay_term,
-                            "kept_blocks": int(state.m_hat.sum()), "lr": lr})
-            step += 1
+    params = _train(graph, weights, dataset, cfg, state=state, log=log)
     ranked = [int(i) for i in np.argsort(state.m, kind="stable")]
     return state, ranked, params
 
@@ -217,8 +241,6 @@ def frozen_shift_params(graph: NetGraph, mask) -> frozenset:
     `finetune(frozen=...)`. Merges are exact with any shift, so freezing is a
     training choice only: it keeps the merged blocks' biases where they
     started."""
-    from .core import BatchNormLayer  # local import keeps module deps one-way
-
     mask = checked_mask(graph, mask)
     index = graph.node_index
     names = set()
@@ -239,39 +261,12 @@ def finetune(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Dataset,
     """Train the (mask-applied) network; `teacher` is the frozen original
     network used for self-distillation when cfg.distill == 'on'. Parameters
     named in `frozen` are left untouched."""
-    if len(dataset[0]) == 0:
-        raise GraphError("empty dataset")
     if teacher is not None and tuple(teacher[0].input_dims)[1:] != \
             tuple(graph.input_dims)[1:]:
         raise ShapeError("teacher input dims do not match student")
-    frozen = frozenset(frozen)
-    params = dict(weights)
-    opt = SGD(cfg.momentum)
-    n_batches = (len(dataset[0]) + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * n_batches
-    step = 0
-    for _ in range(cfg.epochs):
-        for xb, yb in _batches(dataset, cfg.batch_size):
-            lr = cosine_lr(cfg.lr, step, total_steps)
-            out, tape = forward_masked(graph, params, None, xb)
-            logits = _logits(out)
-            loss, dlogits = cross_entropy(logits, yb, cfg.label_smoothing)
-            if cfg.distill == "on" and teacher is not None and cfg.distill_alpha > 0:
-                t_graph, t_params = teacher
-                t_out = forward_untaped(t_graph, t_params, None, xb)
-                kd_loss, kd_grad = distill_divergence(
-                    logits, _logits(t_out), cfg.distill_temperature)
-                loss += cfg.distill_alpha * kd_loss
-                dlogits = dlogits + cfg.distill_alpha * kd_grad
-            pgrads, _ = backward(tape, dlogits.reshape(out.shape))
-            if frozen:
-                pgrads = {k: v for k, v in pgrads.items() if k not in frozen}
-            opt.step(params, pgrads, lr)
-            if log is not None:
-                log.append({"step": step, "loss": loss, "decay_term": 0.0,
-                            "kept_blocks": len(graph.blocks), "lr": lr})
-            step += 1
-    return params
+    distill = cfg.distill == "on" and cfg.distill_alpha > 0
+    return _train(graph, weights, dataset, cfg, teacher=teacher if distill else None,
+                  frozen=frozenset(frozen), log=log)
 
 
 def write_log(log: List[dict], path) -> None:

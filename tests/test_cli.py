@@ -408,7 +408,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("node_id,key,value", [
         ("b0_dw", "groups", 0), ("b0_dw", "stride", 0), ("b0_dw", "kernel_h", 0),
         ("b0_dw", "kernel_w", 0), ("b0_dw", "padding", -1),
-        ("pool", "kernel", 0), ("pool", "stride", 0),
+        ("pool", "kernel", 0), ("pool", "stride", 0), ("b0_pw1", "c_in", 0),
+        ("b0_pw1", "c_out", 0), ("b0_bn1", "channels", 0),
+        ("classifier", "in_features", 0), ("classifier", "out_features", 0),
     ])
     def test_bad_layer_params_exit_1(self, tmp_path, capsys, node_id, key, value):
         out = _gen(tmp_path)
@@ -422,6 +424,27 @@ class TestErrorHandling:
         assert err["error"] == "FormatError"
         assert key in err["message"]
 
+    @pytest.mark.parametrize("command,flags,where", [
+        ("search", ["--epochs", "0"], "epochs"),
+        ("search", ["--batch-size", "0"], "batch_size"),
+        ("search", ["--lr", "-1"], "lr"),
+        ("search", ["--decay", "-5"], "decay_strength"),
+        ("finetune", ["--distill", "--distill-alpha", "2"], "distill_alpha"),
+    ], ids=["epochs-0", "batch-size-0", "lr-negative", "decay-negative", "alpha-2"])
+    def test_training_settings_out_of_range_exit_1(self, tmp_path, capsys, command,
+                                                    flags, where):
+        out = _gen(tmp_path)
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 1], mask)
+        res = tmp_path / "res"
+        argv = [command, "--graph", str(out), "--out", str(res), *flags,
+                *(["--k", "1"] if command == "search" else ["--mask", str(mask)])]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and where in err["message"]
+        assert not res.exists()
+
     @pytest.mark.parametrize("mutate,error,where", [
         (lambda doc: doc.update(nodes=5), "FormatError", "$.nodes"),
         (lambda doc: doc["nodes"].__setitem__(1, ["b0_pw1"]), "FormatError", "$.nodes[1]"),
@@ -434,8 +457,12 @@ class TestErrorHandling:
         (lambda doc: doc["blocks"][0].update(node_ids=[]), "GraphError", "empty node list"),
         (lambda doc: doc["blocks"][0]["node_ids"].__setitem__(0, "no_such_node"),
          "GraphError", "unknown node 'no_such_node'"),
+        (lambda doc: doc.update(input_dims=[1, 0, 8, 8]), "FormatError", "$.input_dims"),
+        (lambda doc: doc.update(input_dims=[1, -3, 8, 8]), "FormatError", "$.input_dims"),
+        (lambda doc: doc.update(input_dims=[0, 3, 8, 8]), "FormatError", "$.input_dims"),
     ], ids=["nodes-int", "node-list", "id-list", "inputs-str", "metadata-list",
-            "version-bool", "version-float", "block-empty", "block-unknown-first"])
+            "version-bool", "version-float", "block-empty", "block-unknown-first",
+            "channels-0", "channels-negative", "batch-0"])
     def test_malformed_graph_exits_1(self, tmp_path, capsys, mutate, error, where):
         out = _gen(tmp_path)
         doc = json.loads((out / "graph.json").read_text())

@@ -29,7 +29,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 0}, {"batch_size": 0}, {"lr": 0.0}, {"distill": "maybe"},
         {"distill_alpha": 1.5}, {"distill_temperature": 0.0},
-        {"label_smoothing": 1.0},
+        {"label_smoothing": 1.0}, {"decay_strength": -1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -218,3 +218,23 @@ class TestFinetune:
                        teacher=(graph, extract_params(graph)))
         for name in plain:
             assert np.array_equal(plain[name], kd0[name])
+
+    def test_teacher_with_distill_off_matches_plain_training(self):
+        teacher = toy_irb(2, seed=1)
+        teacher = (teacher, extract_params(teacher))
+        student = apply_mask_vector(teacher[0], [0, 1])
+        data = synthetic_two_class(32, 3, 8, seed=2)
+        runs = {}
+        for label, distill, given in [("plain", "off", None), ("off", "off", teacher),
+                                      ("on", "on", teacher)]:
+            cfg = TrainConfig(epochs=2, batch_size=16, lr=0.05, distill=distill)
+            log: list = []
+            params = finetune(student, extract_params(student), data, cfg,
+                              teacher=given, log=log)
+            runs[label] = params, log
+        (plain, plain_log), (off, off_log), (on, _) = runs["plain"], runs["off"], runs["on"]
+        assert off_log == plain_log
+        for name in plain:
+            assert np.array_equal(plain[name], off[name])
+        # the same teacher with distillation on does change the result
+        assert any(not np.array_equal(plain[n], on[n]) for n in plain)

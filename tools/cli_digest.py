@@ -9,7 +9,8 @@ A change that should leave every output the same shows it with one diff:
 The pipeline: gen-fixture of toy-irb-3, vgg-toy and mbv2-1.4 (seed 7); shrink
 of mbv2-1.4 under DS-A and DS-F; expand of vgg-toy; a distilled finetune of
 toy-irb-3 under mask [0,1,0] with free activations, then its shrink and verify;
-a search of toy-irb-3 for k=1. Each command runs in its own interpreter with
+a search of toy-irb-3 for k=1 with a latency table and L1 decay, so the
+score update runs. Each command runs in its own interpreter with
 `--src` first on PYTHONPATH (default: this checkout's src). Outputs go to a
 temporary directory that is removed afterwards, or to `--out`, which is kept.
 """
@@ -36,12 +37,15 @@ PIPELINE = [
     ["shrink", "--graph", "finetune", "--mask", "mask_010.json", "--out", "finetune_shrunk"],
     ["verify", "--before", "finetune", "--after", "finetune_shrunk",
      "--out", "finetune_verify.json"],
-    ["search", "--graph", "toy", "--k", "1", *TRAIN, "--out", "search"],
+    ["search", "--graph", "toy", "--k", "1", "--latency", "latency.csv", "--decay", "0.01",
+     *TRAIN, "--out", "search"],
 ]
 
 
 def run_pipeline(src: Path, work: Path) -> None:
     (work / "mask_010.json").write_text("[0, 1, 0]\n", encoding="utf-8")
+    (work / "latency.csv").write_text("block_id,latency_ms\n0,1.5\n1,3.0\n2,0.75\n",
+                                      encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     for argv in PIPELINE:
