@@ -67,9 +67,8 @@ class MaskState:
         return topk_binarize(self.m, self.k)
 
     @classmethod
-    def fresh(cls, n_blocks: int, k: int, lam=None) -> "MaskState":
-        lam = np.ones(n_blocks) if lam is None else np.asarray(lam, dtype=np.float64)
-        return cls(np.ones(n_blocks), k, lam)
+    def fresh(cls, n_blocks: int, k: int) -> "MaskState":
+        return cls(np.ones(n_blocks), k, np.ones(n_blocks))
 
 
 def extract_params(graph: NetGraph) -> Dict[str, np.ndarray]:

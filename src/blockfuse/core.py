@@ -41,7 +41,7 @@ class Tensor:
     spare: bool = field(default=False, compare=False)
 
     @classmethod
-    def of(cls, array, precision: Optional[str] = None, checked: bool = True) -> "Tensor":
+    def of(cls, array, precision: Optional[str] = None) -> "Tensor":
         arr = np.asarray(array)
         if precision is not None:
             arr = arr.astype(DTYPES[precision])
@@ -49,7 +49,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"tensor must be rank 4 (n,c,h,w), got rank {arr.ndim}")
-        if checked and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite values in tensor")
         return cls(np.ascontiguousarray(arr))
 
@@ -388,14 +388,6 @@ def linear(x: np.ndarray, layer: Linear) -> np.ndarray:
     if layer.bias is not None:
         out = out + layer.bias.astype(x.dtype, copy=False)
     return out.reshape(n, -1, 1, 1)
-
-
-def returns_view(layer: Layer) -> bool:
-    """Whether `execute_layer` returns its input (or a view of it) rather than a
-    fresh array; every other layer's output shares no memory with an input that
-    is not spare."""
-    return isinstance(layer, Flatten) or (
-        isinstance(layer, Activation) and layer.kind is ActivationKind.IDENTITY)
 
 
 def execute_layer(layer: Layer, *inputs: Tensor) -> Tensor:

@@ -89,14 +89,9 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
         in_dims_of[n.node_id] = shapes[n.input_ids[0]] if n.input_ids else graph.input_dims
     pbytes = precision_bits / 8
 
-    lat = latency.as_dict() if latency is not None else None
-    if lat is not None:
-        for block in graph.blocks:
-            if block.block_id not in lat:
-                raise GraphError(f"latency table missing block_id {block.block_id}")
-
+    lat = block_latencies(latency, graph) if latency is not None else None
     blocks: List[BlockCost] = []
-    for block in sorted(graph.blocks, key=lambda b: b.block_id):
+    for block in graph.blocks:
         flops = 0
         weights = 0
         peak = 0
@@ -116,7 +111,7 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
     total_flops = sum(node_flops(n.layer, shapes[n.node_id]) for n in graph.nodes)
     total_weights = sum(_param_count(n.layer) for n in graph.nodes)
     total_peak = max((b.peak_activation_bytes for b in blocks), default=0)
-    total_lat = sum(lat.values()) if lat is not None else None
+    total_lat = sum(latency.as_dict().values()) if latency is not None else None
     return CostReport(precision_bits, blocks, total_flops,
                       int(total_weights * pbytes), total_peak, total_lat)
 
@@ -181,13 +176,16 @@ def flops_matched_dense(graph: NetGraph, block: BlockAnnotation) -> DenseReplace
     return DenseReplacement(k, s, ci, co, alpha, flops, target)
 
 
+def block_latencies(table: LatencyTable, graph: NetGraph) -> List[float]:
+    """The table's latency of each of the graph's blocks, in block id order."""
+    lat = table.as_dict()
+    try:
+        return [lat[b.block_id] for b in graph.blocks]
+    except KeyError as exc:
+        raise GraphError(f"latency table missing block_id {exc.args[0]}") from None
+
+
 def latency_decay_weights(table: LatencyTable, graph: NetGraph) -> np.ndarray:
     """Per-block L1 decay weights: latency normalized by the maximum latency."""
-    lat = table.as_dict()
-    values = []
-    for block in sorted(graph.blocks, key=lambda b: b.block_id):
-        if block.block_id not in lat:
-            raise GraphError(f"latency table missing block_id {block.block_id}")
-        values.append(lat[block.block_id])
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(block_latencies(table, graph), dtype=np.float64)
     return arr / arr.max()

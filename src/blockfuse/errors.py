@@ -10,7 +10,7 @@ class ShapeError(BlockfuseError):
 
 
 class NumericError(BlockfuseError):
-    """Non-finite values encountered in checked mode."""
+    """Non-finite values in a tensor, or BN statistics out of range."""
 
 
 class GraphError(BlockfuseError):

@@ -27,7 +27,15 @@ import numpy as np
 
 from .core import BatchNormLayer, ConvLayer
 from .errors import GraphError
-from .graph import NetGraph, gain1_conv_init, irb, splice, topological_order, validate_graph
+from .graph import (
+    NetGraph,
+    gain1_conv_init,
+    irb,
+    network_order,
+    splice,
+    topological_order,
+    validate_graph,
+)
 
 EXPAND_RATIO = 6
 
@@ -43,8 +51,7 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
     validate_graph(graph)
     init_conv = gain1_conv_init(np.random.Generator(np.random.PCG64(seed)))
 
-    irb_blocks = sorted((b for b in graph.blocks if b.kind == "inverted_residual"),
-                        key=lambda b: b.block_id)
+    irb_blocks = [b for b in graph.blocks if b.kind == "inverted_residual"]
     if irb_blocks:
         targets, kernel = [b.node_ids[0] for b in irb_blocks if b.block_id % 2 == 0], 1
     else:
@@ -79,10 +86,7 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
 
 
 def _reindex_blocks(graph: NetGraph) -> NetGraph:
-    order = {n.node_id: i for i, n in enumerate(topological_order(graph))}
-    ranked = sorted(graph.blocks,
-                    key=lambda b: (order[b.node_ids[0]], -len(b.node_ids)))
-    blocks = tuple(replace(b, block_id=i) for i, b in enumerate(ranked))
+    blocks = tuple(replace(b, block_id=i) for i, b in enumerate(network_order(graph)))
     out = replace(graph, blocks=blocks)
     validate_graph(out)
     return out

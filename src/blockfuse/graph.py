@@ -16,7 +16,6 @@ from .core import (
     Tensor,
     execute_layer,
     layer_out_dims,
-    returns_view,
 )
 from .errors import GraphError, ShapeError
 
@@ -189,6 +188,13 @@ def graph_sink(graph: NetGraph) -> Node:
     return sinks[0]
 
 
+def network_order(graph: NetGraph) -> List[BlockAnnotation]:
+    """The blocks ranked by where their entry runs; a nested block that shares its
+    entry with the containing block ranks after it."""
+    position = {n.node_id: i for i, n in enumerate(topological_order(graph))}
+    return sorted(graph.blocks, key=lambda b: (position[b.node_ids[0]], -len(b.node_ids)))
+
+
 def _check_block(block: BlockAnnotation, index: Dict[str, Node],
                  consumers: Dict[str, List[str]], nested_ids: set) -> None:
     bid = block.block_id
@@ -197,15 +203,14 @@ def _check_block(block: BlockAnnotation, index: Dict[str, Node],
     add_ids = [nid for nid in block.node_ids if isinstance(index[nid].layer, Add)]
     if len(add_ids) > 1:
         raise GraphError(f"block {bid}: more than one Add node")
-    # single-entry single-exit chain
+    if not chain:
+        raise GraphError(f"block {bid}: no node besides its Add")
+    # single-entry single-exit chain; `validate_graph` gave the entry one input or none
     for prev, cur in zip(chain, chain[1:]):
         node = index[cur]
         if tuple(node.input_ids) != (prev,):
             raise GraphError(f"block {bid}: {cur!r} does not chain from {prev!r}")
     entry = index[chain[0]]
-    entry_inputs = [i for i in entry.input_ids if i not in members]
-    if len(entry.input_ids) > 1:
-        raise GraphError(f"block {bid}: entry {entry.node_id!r} has multiple inputs")
     for nid in chain[:-1]:
         if any(c not in members for c in consumers.get(nid, [])):
             raise GraphError(
@@ -213,7 +218,7 @@ def _check_block(block: BlockAnnotation, index: Dict[str, Node],
             )
     if add_ids:
         add_node = index[add_ids[0]]
-        src = entry_inputs[0] if entry_inputs else None
+        src = entry.input_ids[0] if entry.input_ids else None
         expected = {chain[-1], src}
         if set(add_node.input_ids) != expected:
             raise GraphError(
@@ -255,10 +260,11 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
 
     shapes: Dict[str, tuple] = {}
     for node in order:
-        in_dims = [shapes[ref] if ref in shapes else graph.input_dims
-                   for ref in node.input_ids]
-        if not node.input_ids:
-            in_dims = [graph.input_dims]
+        in_dims = [shapes[ref] for ref in node.input_ids] or [graph.input_dims]
+        arity = 2 if isinstance(node.layer, Add) else 1
+        if len(in_dims) != arity:
+            raise GraphError(f"node {node.node_id!r}: {type(node.layer).__name__} takes "
+                             f"{arity} input(s), got {len(in_dims)}")
         try:
             if isinstance(node.layer, Add):
                 a, b = in_dims
@@ -277,17 +283,12 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
         for nid in block.node_ids:
             if nid not in index:
                 raise GraphError(f"block {block.block_id}: unknown node {nid!r}")
-    # block_ids must be 0..B-1 in network (topological) order
-    position = {n.node_id: i for i, n in enumerate(order)}
-    # ties (a nested block sharing its entry with the containing block) rank
-    # the containing block first
-    expected_order = sorted(
-        graph.blocks, key=lambda b: (position[b.node_ids[0]], -len(b.node_ids)))
-    for want, block in zip(range(len(graph.blocks)), expected_order):
-        if block.block_id != want:
+    for i, (block, want) in enumerate(zip(graph.blocks, network_order(graph))):
+        if block.block_id != i or block is not want:
             raise GraphError(
-                f"blocks out of order: block at network position {want} "
-                f"has block_id {block.block_id}; re-index blocks in network order"
+                f"blocks out of order: blocks[{i}] has block_id {block.block_id} where "
+                f"network order puts block_id {want.block_id}; list blocks in network "
+                f"order with blocks[i].block_id == i"
             )
     nested_ids = set()
     for a in graph.blocks:
@@ -307,12 +308,10 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
     exactly 1 is skipped. With a `tape` list, each node appends (node, inputs, output),
     so every value is kept; without one, each value is freed after its last consumer.
 
-    Without a tape the walker also reuses buffers. It tracks which live values own
-    their buffer: every output but that of an identity activation or `Flatten`
-    (`returns_view`) is fresh, and those two own theirs only when their input was
-    handed over; `x` is never owned. An owned value whose last consumer is this node
-    goes to `execute_layer` as a spare buffer, unless it appears twice among the
-    node's inputs or the node is a gated activation, which still reads z after act(z).
+    Without a tape the walker also reuses buffers: a value whose last consumer is this
+    node goes to `execute_layer` as a spare buffer when it appears once among the
+    node's inputs, the node is not a gated activation (which still reads z after
+    act(z)), and its memory overlaps neither `x` nor any other live value.
     """
     if x.dims[1:] != tuple(graph.input_dims)[1:]:
         raise ShapeError(
@@ -323,20 +322,23 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
     sink = graph_sink(graph).node_id
     last_use = {ref: i for i, node in enumerate(order) for ref in node.input_ids}
     values: Dict[str, Tensor] = {}
-    owned = set()
+
+    def unshared(ref: str) -> bool:
+        data = values[ref].data
+        return not np.may_share_memory(data, x.data) and not any(
+            other != ref and np.may_share_memory(data, v.data)
+            for other, v in values.items())
+
     for i, node in enumerate(order):
         g = gates.get(node.node_id, 1.0)
         refs = node.input_ids
-        handed = {ref for ref in refs if ref in owned and last_use[ref] == i
-                  and refs.count(ref) == 1} if tape is None and g == 1.0 else ()
-        ins = [Tensor(values[ref].data, spare=ref in handed) for ref in refs] if refs else [x]
+        reuse = tape is None and g == 1.0
+        ins = [Tensor(values[ref].data, spare=reuse and last_use[ref] == i
+                      and refs.count(ref) == 1 and unshared(ref))
+               for ref in refs] if refs else [x]
         out = execute_layer(node.layer, *ins)
         if g != 1.0:
             out = Tensor(g * out.data + (1.0 - g) * ins[0].data)
-        if g != 1.0 or not returns_view(node.layer) or ins[0].spare:
-            owned.add(node.node_id)
-        elif refs:
-            owned.discard(refs[0])  # a live view now shares its input's buffer
         values[node.node_id] = out
         if tape is not None:
             tape.append((node, ins, out))  # keeps every value alive
@@ -353,15 +355,18 @@ def checked_mask(graph: NetGraph, mask) -> list:
     return mask
 
 
-def apply_mask_vector(graph: NetGraph, mask) -> NetGraph:
-    """Replace both activations of every mask-0 block with Identity."""
+def merged_blocks(graph: NetGraph, mask) -> List[BlockAnnotation]:
+    """The blocks that `mask` (one 0/1 entry per block) marks 0, in id order."""
     mask = checked_mask(graph, mask)
-    off = set()
-    for block, bit in zip(sorted(graph.blocks, key=lambda b: b.block_id), mask):
+    for bit in mask:
         if bit not in (0, 1):
             raise GraphError(f"mask entries must be 0/1, got {bit!r}")
-        if bit == 0:
-            off.update(block.act_node_ids)
+    return [block for block, bit in zip(graph.blocks, mask) if bit == 0]
+
+
+def apply_mask_vector(graph: NetGraph, mask) -> NetGraph:
+    """Replace both activations of every mask-0 block with Identity."""
+    off = {aid for block in merged_blocks(graph, mask) for aid in block.act_node_ids}
     nodes = tuple(
         replace(n, layer=Activation(ActivationKind.IDENTITY)) if n.node_id in off else n
         for n in graph.nodes

@@ -194,6 +194,7 @@ def graph_from_json(doc: dict) -> NetGraph:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
+    blocks.sort(key=lambda b: b.block_id)  # the records may come in any order
     return NetGraph(tuple(nodes), input_dims, tuple(blocks),
                     dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
 

@@ -26,7 +26,7 @@ chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .graph import (
     NetGraph,
     Node,
     apply_mask_vector,
-    checked_mask,
     execute_graph,
+    merged_blocks,
     splice,
     validate_graph,
 )
@@ -265,11 +265,12 @@ class ShrinkReport:
 
 
 def _containment_order(blocks) -> List[BlockAnnotation]:
-    # inner (nested) blocks must merge before the blocks that contain them
+    # inner (nested) blocks must merge before the blocks that contain them; the
+    # sort is stable, so blocks of one depth keep the order they came in
     def depth(b):
         return sum(1 for other in blocks
                    if other is not b and set(b.node_ids) < set(other.node_ids))
-    return sorted(blocks, key=lambda b: (-depth(b), b.block_id))
+    return sorted(blocks, key=lambda b: -depth(b))
 
 
 def shrink_graph(graph: NetGraph, mask,
@@ -283,42 +284,28 @@ def shrink_graph(graph: NetGraph, mask,
     mask = list(mask)
     graph = apply_mask_vector(graph, mask)
 
-    index = {n.node_id: n for n in graph.nodes}
-    before_flops = {
-        b.block_id: sum(node_flops(index[nid].layer, shapes[nid]) for nid in b.node_ids)
-        for b in graph.blocks
-    }
-    in_dims = {}
+    index = graph.node_index
+    records: List[BlockShrinkRecord] = []
     for b in graph.blocks:
-        entry = index[b.node_ids[0]]
-        in_dims[b.block_id] = shapes[entry.input_ids[0]] if entry.input_ids \
-            else graph.input_dims
-
+        convs = [index[nid].layer for nid in b.node_ids
+                 if isinstance(index[nid].layer, ConvLayer)]
+        flops = sum(node_flops(index[nid].layer, shapes[nid]) for nid in b.node_ids)
+        records.append(BlockShrinkRecord(b.block_id, False, b.dw_kernel, b.stride,
+                                         convs[0].c_in, convs[-1].c_out, flops, flops))
     work = graph
-    records: Dict[int, BlockShrinkRecord] = {}
-    for block in _containment_order(graph.blocks):
-        bit = mask[block.block_id]
-        cur = next(b for b in work.blocks if b.block_id == block.block_id)
-        chain_convs = [index[nid].layer for nid in block.node_ids
-                       if isinstance(index[nid].layer, ConvLayer)]
-        if bit == 1:
-            records[block.block_id] = BlockShrinkRecord(
-                block.block_id, False, cur.dw_kernel, cur.stride,
-                chain_convs[0].c_in, chain_convs[-1].c_out,
-                before_flops[block.block_id], before_flops[block.block_id],
-            )
-            continue
-        conv = merge_block(work, cur, in_dims[block.block_id])
+    for block in _containment_order(merged_blocks(graph, mask)):
+        entry = index[block.node_ids[0]]
+        in_dims = shapes[entry.input_ids[0]] if entry.input_ids else graph.input_dims
+        cur = work.blocks[block.block_id]
+        conv = merge_block(work, cur, in_dims)
         work = _splice_merged(work, cur, conv, free_activation)
         records[block.block_id] = BlockShrinkRecord(
             block.block_id, True, conv.kernel_h, conv.stride, conv.c_in, conv.c_out,
-            before_flops[block.block_id],
-            node_flops(conv, layer_out_dims(conv, in_dims[block.block_id])),
+            records[block.block_id].flops_before,
+            node_flops(conv, layer_out_dims(conv, in_dims)),
         )
-    report = ShrinkReport(tuple(records[b.block_id]
-                                for b in sorted(graph.blocks, key=lambda b: b.block_id)))
     validate_graph(work)
-    return work, report
+    return work, ShrinkReport(tuple(records))
 
 
 def _splice_merged(graph: NetGraph, block: BlockAnnotation, conv: ConvLayer,
@@ -336,27 +323,24 @@ def _splice_merged(graph: NetGraph, block: BlockAnnotation, conv: ConvLayer,
 
 
 def _put_block(graph: NetGraph, block: BlockAnnotation) -> NetGraph:
-    return replace(graph, blocks=tuple(block if b.block_id == block.block_id else b
-                                       for b in graph.blocks))
+    i = block.block_id
+    return replace(graph, blocks=graph.blocks[:i] + (block,) + graph.blocks[i + 1:])
 
 
-def insert_free_activations(graph: NetGraph, mask,
-                            kind: ActivationKind = ActivationKind.RELU6) -> NetGraph:
-    """Append a free activation after every mask-0 (to-be-merged) block.
+def insert_free_activations(graph: NetGraph, mask) -> NetGraph:
+    """Append a free ReLU6 after every mask-0 (to-be-merged) block.
 
     The new node lies outside the block's own annotation, so the block stays
     mergeable and the activation survives the merge as a post-conv op. A block
     that holds the masked one (an expanded graph's nested block) lists the new
     node after the nested exit, so it can merge only with its activations kept.
     """
-    mask = checked_mask(graph, mask)
     work = graph
-    for block in sorted(graph.blocks, key=lambda b: b.block_id):
-        if mask[block.block_id] == 1:
-            continue
-        own = next(b for b in work.blocks if b.block_id == block.block_id)
+    for block in merged_blocks(graph, mask):
+        own = work.blocks[block.block_id]
         exit_id = own.node_ids[-1]
-        act = Node(f"block{block.block_id}_free_act", Activation(kind), (exit_id,))
+        act = Node(f"block{block.block_id}_free_act", Activation(ActivationKind.RELU6),
+                   (exit_id,))
         work = _put_block(splice(work, (exit_id,), [work.node(exit_id), act]), own)
     validate_graph(work)
     return work

@@ -5,7 +5,8 @@ Both run one loop, `_train`: cross-entropy (plus distillation with a teacher),
 `backward`, SGD on the unfrozen parameters, and with a `MaskState` the
 straight-through score step with its latency-weighted L1 decay.
 Training draws no random numbers: batches come in dataset order (nothing reads
-`TrainConfig.seed`), and the optimizer is SGD with momentum and a cosine schedule.
+`TrainConfig.seed`), and the optimizer is SGD with momentum `MOMENTUM` and a cosine
+schedule.
 `--seed` on `search`/`finetune` seeds only the synthetic dataset (numpy's PCG64).
 """
 from __future__ import annotations
@@ -19,10 +20,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .autodiff import MaskState, backward, forward_masked, forward_untaped
-from .core import BatchNormLayer
+from .core import ActivationKind, BatchNormLayer
 from .cost import latency_decay_weights
 from .errors import ConfigError, FormatError, GraphError, ShapeError
-from .graph import LatencyTable, NetGraph, checked_mask
+from .graph import LatencyTable, NetGraph, merged_blocks
+
+MOMENTUM = 0.9
 
 
 @dataclass
@@ -30,7 +33,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 16
     lr: float = 0.05
-    momentum: float = 0.9
     seed: int = 0
     decay_strength: float = 0.0
     distill: str = "off"  # "off" | "on"
@@ -169,11 +171,10 @@ def _logits(out: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def accuracy(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
-             mask_state: Optional[MaskState] = None, batch_size: int = 64) -> float:
+def accuracy(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset) -> float:
     hits = 0
-    for xb, yb in _batches(dataset, batch_size):
-        out = forward_untaped(graph, params, mask_state, xb)
+    for xb, yb in _batches(dataset, 64):
+        out = forward_untaped(graph, params, None, xb)
         hits += int((np.argmax(_logits(out), axis=1) == yb).sum())
     return hits / len(dataset[0])
 
@@ -188,7 +189,12 @@ def _train(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
     if len(dataset[0]) == 0:
         raise GraphError("empty dataset")
     params = dict(params)
-    opt = SGD(cfg.momentum)
+    opt = SGD(MOMENTUM)
+    # each log line's kept_blocks: the blocks whose activations run, read from the
+    # mask state's bits during search and from the graph's activations otherwise
+    index = graph.node_index
+    active = sum(any(index[aid].layer.kind is not ActivationKind.IDENTITY
+                     for aid in b.act_node_ids) for b in graph.blocks)
     batches = [b for _ in range(cfg.epochs) for b in _batches(dataset, cfg.batch_size)]
     for step, (xb, yb) in enumerate(batches):
         lr = cosine_lr(cfg.lr, step, len(batches))
@@ -205,7 +211,7 @@ def _train(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
         if frozen:
             pgrads = {k: v for k, v in pgrads.items() if k not in frozen}
         opt.step(params, pgrads, lr)
-        decay_term, kept = 0.0, len(graph.blocks)
+        decay_term, kept = 0.0, active
         if state is not None:
             decay_term = float(cfg.decay_strength * np.sum(state.lam * np.abs(state.m)))
             # straight-through update of m plus latency-weighted L1 decay
@@ -241,16 +247,10 @@ def frozen_shift_params(graph: NetGraph, mask) -> frozenset:
     `finetune(frozen=...)`. Merges are exact with any shift, so freezing is a
     training choice only: it keeps the merged blocks' biases where they
     started."""
-    mask = checked_mask(graph, mask)
     index = graph.node_index
-    names = set()
-    for block in sorted(graph.blocks, key=lambda b: b.block_id):
-        if mask[block.block_id] == 1:
-            continue
-        for nid in block.node_ids:
-            if isinstance(index[nid].layer, BatchNormLayer):
-                names.add(f"{nid}.beta")
-    return frozenset(names)
+    return frozenset(f"{nid}.beta" for block in merged_blocks(graph, mask)
+                     for nid in block.node_ids
+                     if isinstance(index[nid].layer, BatchNormLayer))
 
 
 def finetune(graph: NetGraph, weights: Dict[str, np.ndarray], dataset: Dataset,

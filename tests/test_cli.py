@@ -209,6 +209,15 @@ class TestShrinkVerify:
         assert run(["verify", "--before", str(shrunk / "graph.json"),
                     "--after", str(shrunk), "--tol", "1e-10"]) == 0
 
+    def test_verify_out_writes_the_printed_report(self, tmp_path, capsys):
+        out = _gen(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "verify.json"
+        assert run(["verify", "--before", str(out), "--after", str(out),
+                    "--samples", "2", "--out", str(report)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(report.read_text()) == printed and printed["pass"]
+
     def test_verify_reports_failure(self, tmp_path, capsys):
         a = _gen(tmp_path, seed=0)
         b = tmp_path / "other"

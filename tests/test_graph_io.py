@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from blockfuse import graph as graph_module
 from blockfuse import io
 from blockfuse.cli import run
 from blockfuse.core import (
@@ -19,6 +20,7 @@ from blockfuse.core import (
     Flatten,
     Linear,
     Tensor,
+    execute_layer,
 )
 from blockfuse.errors import FormatError, GraphError
 from blockfuse.expand import expand_for_training
@@ -101,6 +103,106 @@ class TestGraphStructure:
         bad = replace(g.blocks[0], has_residual=False)
         with pytest.raises(GraphError, match="has_residual"):
             validate_graph(NetGraph(g.nodes, g.input_dims, (bad,), {}))
+
+
+def _with(g, nodes=(), **fields):
+    """`g` (one block) with `nodes` replacing or adding nodes by id, and `fields`
+    replaced in its block."""
+    table = {n.node_id: n for n in g.nodes}
+    table.update({n.node_id: n for n in nodes})
+    return NetGraph(tuple(table.values()), g.input_dims,
+                    (replace(g.blocks[0], **fields),), {})
+
+
+def _one_block(rng, residual):
+    return irb_graph(rng, 3, 3, 1, 3, 1, residual=residual)
+
+
+def _two_adds(rng):
+    g = _one_block(rng, True)
+    return _with(g, [Node("add2", Add(), ("add", "stem"))],
+                 node_ids=g.blocks[0].node_ids + ("add2",))
+
+
+def _add_only(rng):
+    return _with(_one_block(rng, True), node_ids=("add",), act_node_ids=())
+
+
+def _entry_reads_two(rng):
+    g = _one_block(rng, False)
+    return _with(g, [replace(g.node("pw1"), input_ids=("stem", "stem"))])
+
+
+def _interior_read_outside(rng):
+    return _with(_one_block(rng, False), [Node("out", Add(), ("bn3", "bn1"))])
+
+
+def _add_skips_entry(rng):
+    g = _one_block(rng, True)
+    return _with(g, [replace(g.node("add"), input_ids=("bn3", "bn3"))])
+
+
+def _pattern_mismatch(rng):
+    # a well-formed chain that stops before bn3, so only the pattern check trips
+    g = _one_block(rng, False)
+    return _with(g, node_ids=g.blocks[0].node_ids[:-1])
+
+
+def _add_of_two_shapes(rng):
+    return NetGraph((Node("a", random_conv(rng, 3, 3, 1), ()),
+                     Node("b", random_conv(rng, 3, 4, 1), ()),
+                     Node("add", Add(), ("a", "b"))), (1, 3, 5, 5))
+
+
+class TestValidationRejects:
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(_two_adds, "more than one Add", id="two-adds"),
+        pytest.param(_add_only, "no node besides its Add", id="add-only"),
+        pytest.param(_entry_reads_two, "'pw1': ConvLayer takes 1 input", id="two-inputs"),
+        pytest.param(_interior_read_outside, "interior node 'bn1' consumed outside",
+                     id="interior-read-outside"),
+        pytest.param(_add_skips_entry, "Add must join block entry input and chain exit",
+                     id="add-skips-entry"),
+        pytest.param(lambda rng: _with(_one_block(rng, False), has_residual=True),
+                     "has_residual set but no Add", id="residual-without-add"),
+        pytest.param(lambda rng: _with(_one_block(rng, False), act_node_ids=("act1",)),
+                     "act_node_ids must have 0 or 2 entries", id="one-act-id"),
+        pytest.param(lambda rng: _with(_one_block(rng, False),
+                                       act_node_ids=("act1", "bn1")),
+                     "'bn1' is not an activation", id="act-id-not-an-activation"),
+        pytest.param(_pattern_mismatch, "does not match PW-BN-Act-DW-BN-Act-PW-BN",
+                     id="pattern"),
+        pytest.param(lambda rng: _with(_one_block(rng, True), stride=2),
+                     "residual requires stride 1", id="residual-stride-2"),
+        pytest.param(lambda rng: NetGraph((), (1, 3, 5, 5)), "empty graph", id="empty"),
+        pytest.param(_add_of_two_shapes, "Add inputs differ", id="add-shapes"),
+    ])
+    def test_rejection_names_the_fault(self, rng, make, match):
+        with pytest.raises(GraphError, match=match):
+            validate_graph(make(rng))
+
+    def test_cost_of_a_block_read_from_outside_exits_1(self, tmp_path, rng, capsys):
+        io.save_graph(_interior_read_outside(rng), tmp_path / "graph.json")
+        assert run(["cost", "--graph", str(tmp_path / "graph.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GraphError" and "consumed outside" in err["message"]
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (2, 0, 1)])
+    def test_permuted_blocks_are_rejected(self, order):
+        g = toy_irb(3, seed=0)
+        permuted = tuple(g.blocks[i] for i in order)
+        for blocks in (permuted, tuple(replace(b, block_id=i)
+                                       for i, b in enumerate(permuted))):
+            with pytest.raises(GraphError, match="out of order"):
+                validate_graph(replace(g, blocks=blocks))
+
+    def test_permuted_block_records_load_in_id_order(self):
+        doc = io.graph_to_json(toy_irb(3, seed=0))
+        shuffled = dict(doc, blocks=[doc["blocks"][i] for i in (2, 0, 1)])
+        loaded = io.graph_from_json(shuffled)
+        assert [b.block_id for b in loaded.blocks] == [0, 1, 2]
+        validate_graph(loaded)
+        assert io.graph_to_json(loaded) == doc
 
 
 class TestSpliceAndIrb:
@@ -267,6 +369,27 @@ class TestBufferOwnership:
         untaped, taped = _untaped_and_taped(g, x)
         assert np.array_equal(untaped, taped)
         np.testing.assert_array_equal(x.data, x_before)
+
+    def test_execute_layer_sees_which_inputs_are_spare(self, rng, monkeypatch):
+        seen = {}
+
+        def spy(layer, *ins):
+            seen[id(layer)] = [t.spare for t in ins]
+            return execute_layer(layer, *ins)
+
+        monkeypatch.setattr(graph_module, "execute_layer", spy)
+        chain = NetGraph((Node("conv", random_conv(rng, 3, 3, 3), ()),
+                          Node("bn", random_bn(rng, 3, biased=True), ("conv",)),
+                          Node("relu", Activation(ActivationKind.RELU), ("bn",))),
+                         (1, 3, 6, 6))
+        aliasing = _aliasing_graph(rng)
+        for g in (chain, aliasing):
+            execute_graph(g, Tensor.of(rng.standard_normal(g.input_dims)))
+        # the conv reads the caller's x; BN's input in the aliasing graph is the
+        # buffer that the live identity view still shows
+        assert [seen[id(chain.node(n).layer)] for n in ("conv", "bn", "relu")] == \
+            [[False], [True], [True]]
+        assert seen[id(aliasing.node("bn").layer)] == [False]
 
     def test_half_gates_equal_taped_result(self, rng):
         g = mobilenet_v2(1.0, image_size=32, seed=1)

@@ -3,7 +3,7 @@ import pytest
 
 from blockfuse.autodiff import MaskState, extract_params
 from blockfuse.errors import FormatError, GraphError
-from blockfuse.fixtures import toy_irb
+from blockfuse.fixtures import generate, toy_irb
 from blockfuse.graph import LatencyTable, apply_mask_vector
 from blockfuse.train import (
     SGD,
@@ -175,6 +175,15 @@ class TestSearch:
 
 
 class TestFinetune:
+    def test_log_counts_the_blocks_that_keep_their_activations(self):
+        graph, _ = generate("toy-irb-3", seed=7)
+        student = apply_mask_vector(graph, [0, 1, 0])
+        data = synthetic_two_class(32, 3, 8, seed=2)
+        log: list = []
+        finetune(student, extract_params(student), data,
+                 TrainConfig(epochs=2, batch_size=16), log=log)
+        assert len(log) == 4 and all(rec["kept_blocks"] == 1 for rec in log)
+
     def test_improves_accuracy(self):
         graph = toy_irb(2, seed=1)
         data = synthetic_two_class(64, 3, 8, seed=2)
