@@ -5,7 +5,8 @@ executor and autodiff. An average pool runs through it too, as the depthwise
 conv with every tap 1/k^2 that it is (`pool_conv`). The forward is one matmul
 for a plain 1x1 conv, one multiply-add per tap for a depthwise conv with at
 most 16 output positions, and im2col plus a batched matmul over cache-sized
-blocks of (sample, group) rows for every other conv; the backward loops over
+blocks of (sample, group) rows for every other conv, a row too large for one
+column buffer going band by band over its output rows; the backward loops over
 kernel taps, never over groups. The depthwise backward and that small
 depthwise forward run channels-last (n, h, w, c): at the 1-16 px sizes of
 training, each strided op then loops over all channels instead of a short
@@ -249,6 +250,14 @@ def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
 # MobileNetV2's depthwise shapes at n=1 and n=8.
 _BLOCK_BYTES = 1 << 20
 
+# Largest im2col column buffer one GEMM of `_grouped_forward` reads; a row whose
+# columns exceed it is built and multiplied over bands of output rows that fit
+# it. Over the 18 dense 3x3 convs of MobileNetV2-1.4 and its DS-F shrink at
+# 224 px, 4 MiB took 31 -> 23 ms at n=1 and 210 -> 186 ms at n=8 (medians of 15)
+# against whole-sample columns; 1 MiB bands gained at n=1 only (27 and 218 ms),
+# as the 1.2-1.9 MB columns of the 14 px convs then split in two.
+_BAND_BYTES = 4 << 20
+
 
 # Largest oh * ow for which a depthwise forward runs channels-last. On all 17
 # depthwise convs of MobileNetV2-1.4 at 224 px it was 2-3x slower than im2col.
@@ -272,26 +281,34 @@ def _grouped_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     its kh*kw tap windows are gathered into one (m, cg_in*kh*kw, oh*ow) column buffer
     in the order of `w`, and one matmul against each row's group weights writes the
     block's output. Every row is its own product, so the result does not depend on
-    the block size. Depthwise is then one GEMV per row; a dense conv whose sample
-    does not fit the budget runs one GEMM per sample."""
+    the block size. Depthwise is then one GEMV per row, and a dense conv whose
+    sample does not fit the budget one GEMM per sample. A row whose columns exceed
+    `_BAND_BYTES` (a large dense conv's sample) builds them over bands of output
+    rows that each fit it, and each band's GEMM writes its own slice of the output."""
     n, c, h, wd = x.shape
     c_out, cg_in, kh, kw = w.shape
     rows, k, p = n * groups, cg_in * kh * kw, oh * ow
     hp, wp = h + 2 * padding, wd + 2 * padding
     block = max(1, min(rows, _BLOCK_BYTES // ((cg_in * hp * wp + k * p) * x.itemsize)))
+    band = oh if k * p * x.itemsize <= _BAND_BYTES else \
+        max(1, _BAND_BYTES // (k * ow * x.itemsize))
     src = x.reshape(rows, cg_in, h, wd)
     wg = w.reshape(groups, c_out // groups, k)
     out = np.empty((rows, c_out // groups, p), dtype=x.dtype)
     xp = np.zeros((block, cg_in, hp, wp), dtype=x.dtype)  # borders stay zero
-    cols = np.empty((block, cg_in, kh, kw, oh, ow), dtype=x.dtype)
+    cols = np.empty(block * k * band * ow, dtype=x.dtype)
     for r in range(0, rows, block):
         m = min(block, rows - r)
-        xb, cb = xp[:m], cols[:m]
+        xb = xp[:m]
         xb[:, :, padding:padding + h, padding:padding + wd] = src[r:r + m]
-        for i, j, win in _taps(kh, kw, stride, oh, ow):
-            cb[:, :, i, j] = xb[win]
         wb = wg[0] if groups == 1 else wg[np.arange(r, r + m) % groups]
-        np.matmul(wb, cb.reshape(m, k, p), out=out[r:r + m])
+        for y in range(0, oh, band):
+            b = min(band, oh - y)
+            xs = xb[:, :, y * stride:(y + b - 1) * stride + kh]  # the band's input rows
+            cb = cols[:m * k * b * ow].reshape(m, cg_in, kh, kw, b, ow)
+            for i, j, win in _taps(kh, kw, stride, b, ow):
+                cb[:, :, i, j] = xs[win]
+            np.matmul(wb, cb.reshape(m, k, b * ow), out=out[r:r + m, :, y * ow:(y + b) * ow])
     return out.reshape(n, c_out, oh, ow)
 
 

@@ -111,7 +111,7 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
     total_flops = sum(node_flops(n.layer, shapes[n.node_id]) for n in graph.nodes)
     total_weights = sum(_param_count(n.layer) for n in graph.nodes)
     total_peak = max((b.peak_activation_bytes for b in blocks), default=0)
-    total_lat = sum(latency.as_dict().values()) if latency is not None else None
+    total_lat = sum(lat) if lat is not None else None
     return CostReport(precision_bits, blocks, total_flops,
                       int(total_weights * pbytes), total_peak, total_lat)
 

@@ -66,6 +66,16 @@ class TestCost:
         lat.write_text("block_id,latency_ms\n0,1.0\n1,2.0\n")
         assert run(["cost", "--graph", str(out), "--latency", str(lat)]) == 0
 
+    def test_latency_total_is_the_sum_of_the_block_rows(self, tmp_path):
+        out = _gen(tmp_path)
+        lat, report = tmp_path / "lat.csv", tmp_path / "cost.json"
+        lat.write_text("block_id,latency_ms\n0,1.0\n1,2.0\n7,5.0\n")
+        assert run(["cost", "--graph", str(out), "--latency", str(lat),
+                    "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert [b["latency_ms"] for b in doc["blocks"]] == [1.0, 2.0]
+        assert doc["latency_ms"] == 3.0
+
     # a NaN latency once gave NaN scores and an arbitrary mask, an infinite one an
     # infinite total, and a repeated block_id silently kept its last row
     @pytest.mark.parametrize("rows,command,message", [

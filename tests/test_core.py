@@ -176,6 +176,74 @@ class TestDepthwiseBlocking:
         np.testing.assert_array_equal(x, x_before)
 
 
+def _spy_taps(monkeypatch) -> list:
+    """Record the output rows of each band that `_grouped_forward` gathers."""
+    rows, real = [], core._taps
+
+    def spy(kh, kw, stride, oh, ow):
+        rows.append(oh)
+        return real(kh, kw, stride, oh, ow)
+
+    monkeypatch.setattr(core, "_taps", spy)
+    return rows
+
+
+# (k, stride, padding, groups, bias_map) of the banded forward cases; k is an int,
+# or (kh, kw)
+BAND_CASES = [
+    pytest.param(k, stride, padding, groups, bias_map,
+                 id=f"k{k}-s{stride}-p{padding}-g{groups}-{'map' if bias_map else 'vec'}"
+                 .replace("(3, 1)", "3x1"))
+    for k, stride, padding, groups, bias_map in [
+        (3, 1, 0, 1, False), (3, 1, 1, 1, True), (3, 2, 1, 1, False), (3, 2, 2, 1, True),
+        ((3, 1), 1, 2, 1, False), ((3, 1), 2, 0, 1, True), ((3, 1), 2, 1, 1, False),
+        (3, 2, 1, 2, True)]
+]
+
+
+class TestBandedForward:
+    """A row whose im2col columns exceed `_BAND_BYTES` is built and multiplied over
+    bands of output rows."""
+
+    @staticmethod
+    def _case(rng, monkeypatch, k, stride, padding, groups, bias_map, dtype, n=3):
+        layer = random_conv(rng, 4, 6, k, stride=stride, padding=padding, groups=groups)
+        x = rng.standard_normal((n, 4, 11, 9)).astype(dtype)
+        oh, ow = layer_out_dims(layer, x.shape)[2:]
+        bias = rng.standard_normal((6, oh, ow) if bias_map else 6)
+        # a few output rows per band, the last band partial
+        band = next(b for b in range(2, oh) if oh % b)
+        k_rows = (4 // groups) * layer.kernel_h * layer.kernel_w
+        monkeypatch.setattr(core, "_BAND_BYTES", band * k_rows * ow * x.itemsize)
+        return replace(layer, bias=bias), x, band, oh
+
+    @pytest.mark.parametrize("k,stride,padding,groups,bias_map", BAND_CASES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bands_match_oracle(self, rng, monkeypatch, k, stride, padding, groups,
+                                bias_map, dtype):
+        layer, x, band, oh = self._case(rng, monkeypatch, k, stride, padding, groups,
+                                        bias_map, dtype)
+        x_before = x.copy()
+        bands = _spy_taps(monkeypatch)
+        y = conv2d(x, layer)
+        assert bands == [band] * (oh // band) + [oh % band]  # the banded path ran
+        assert y.dtype == dtype and y.flags.c_contiguous
+        np.testing.assert_array_equal(x, x_before)
+        bias = layer.bias if bias_map else layer.bias[:, None, None]
+        expected = conv_oracle(x.astype(np.float64), layer.weights, None, stride, padding,
+                               groups) + bias
+        assert np.max(np.abs(y - expected)) <= CONV_TOL[dtype]
+
+    @pytest.mark.parametrize("k,stride,padding,groups,bias_map", BAND_CASES)
+    def test_batched_sample_equals_its_single_run(self, rng, monkeypatch, k, stride,
+                                                  padding, groups, bias_map):
+        layer, x, _, _ = self._case(rng, monkeypatch, k, stride, padding, groups,
+                                    bias_map, np.float64)
+        y = conv2d(x, layer)
+        for i in range(x.shape[0]):
+            np.testing.assert_array_equal(y[i:i + 1], conv2d(x[i:i + 1], layer))
+
+
 def _dw_input_size(out, k, stride, padding):
     """(h, w) whose depthwise output is out x out; at stride 2 the last input row
     and column get no tap. k is an int, or (kh, kw)."""

@@ -71,6 +71,13 @@ class TestCostReport:
         assert report.blocks[0].latency_ms == 1.5
         assert report.latency_ms == pytest.approx(4.0)
 
+    def test_latency_total_is_over_the_graphs_blocks(self):
+        # a row for a block the graph lacks is not part of its total
+        table = LatencyTable(((0, 1.0), (1, 2.0), (7, 5.0)))
+        report = cost_report(toy_irb(2, seed=0), latency=table)
+        assert [b.latency_ms for b in report.blocks] == [1.0, 2.0]
+        assert report.latency_ms == 3.0
+
     def test_latency_missing_block(self):
         g = toy_irb(2, seed=0)
         with pytest.raises(GraphError, match="missing block_id 1"):

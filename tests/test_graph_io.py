@@ -22,7 +22,7 @@ from blockfuse.core import (
     Tensor,
     execute_layer,
 )
-from blockfuse.errors import FormatError, GraphError
+from blockfuse.errors import FormatError, GraphError, ShapeError
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import generate, mobilenet_v2, toy_irb, vgg_toy
 from blockfuse.graph import (
@@ -38,6 +38,7 @@ from blockfuse.graph import (
     splice,
     topological_order,
     validate_graph,
+    value_dims,
 )
 from blockfuse.merge import shrink_graph
 
@@ -391,6 +392,43 @@ class TestBufferOwnership:
             [[False], [True], [True]]
         assert seen[id(aliasing.node("bn").layer)] == [False]
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: toy_irb(2, seed=1), id="toy-irb"),
+        pytest.param(_aliasing_graph, id="view-of-a-live-value"),
+        pytest.param(_bn_feeds_add_graph, id="bn-input-feeds-add"),
+        pytest.param(_input_view_graph, id="views-of-the-input"),
+    ])
+    def test_chunks_of_one_equal_taped_walk_and_keep_the_input(self, rng, monkeypatch,
+                                                               make):
+        g = make(rng)
+        x = Tensor.of(rng.standard_normal((3,) + tuple(g.input_dims[1:])) - 0.5)
+        x_before = x.data.copy()
+        taped = execute_graph(g, x, tape=[]).data
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 1)
+        walks = _spy_walks(monkeypatch)
+        chunked = execute_graph(g, x).data
+        assert walks == [1, 1, 1]
+        np.testing.assert_allclose(chunked, taped, rtol=0, atol=1e-12 * np.abs(taped).max())
+        np.testing.assert_array_equal(x.data, x_before)
+
+    def test_spare_inputs_are_handed_over_inside_chunks(self, rng, monkeypatch):
+        seen = []
+
+        def spy(layer, *ins):
+            seen.append((type(layer).__name__, [t.spare for t in ins]))
+            return execute_layer(layer, *ins)
+
+        monkeypatch.setattr(graph_module, "execute_layer", spy)
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 1)
+        chain = NetGraph((Node("conv", random_conv(rng, 3, 3, 3), ()),
+                          Node("bn", random_bn(rng, 3, biased=True), ("conv",)),
+                          Node("relu", Activation(ActivationKind.RELU), ("bn",))),
+                         (1, 3, 6, 6))
+        execute_graph(chain, Tensor.of(rng.standard_normal((2, 3, 6, 6))))
+        # each chunk's conv reads its slice of x; BN and ReLU get a dying buffer
+        assert seen == [("ConvLayer", [False]), ("BatchNormLayer", [True]),
+                        ("Activation", [True])] * 2
+
     def test_half_gates_equal_taped_result(self, rng):
         g = mobilenet_v2(1.0, image_size=32, seed=1)
         gates = {aid: 0.5 for b in g.blocks for aid in b.act_node_ids}
@@ -398,6 +436,97 @@ class TestBufferOwnership:
         untaped, taped = _untaped_and_taped(g, x, gates)
         assert np.array_equal(untaped, taped)
         assert not np.array_equal(untaped, execute_graph(g, x).data)
+
+
+def _spy_walks(monkeypatch) -> list:
+    """Record the sample count of each walk `execute_graph` makes."""
+    sizes, real = [], graph_module._walk
+
+    def spy(order, last_use, sink, x, gates, tape):
+        sizes.append(x.dims[0])
+        return real(order, last_use, sink, x, gates, tape)
+
+    monkeypatch.setattr(graph_module, "_walk", spy)
+    return sizes
+
+
+def _chunk_of(monkeypatch, g, samples, itemsize=8):
+    """Set the chunk budget to `samples` samples of g's largest value."""
+    dims = value_dims(topological_order(g), tuple(g.input_dims))
+    per_sample = max(int(np.prod(d[1:])) for d in dims.values()) * itemsize
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", samples * per_sample)
+
+
+class TestWalkerChunks:
+    """An untaped walk over more samples than `_CHUNK_BYTES` holds runs in chunks."""
+
+    @staticmethod
+    def _net_and_input(rng, n=5):
+        g = mobilenet_v2(1.0, image_size=32, seed=1)
+        return g, Tensor.of(rng.standard_normal((n,) + tuple(g.input_dims[1:])))
+
+    def test_chunks_match_the_whole_batch(self, rng, monkeypatch):
+        g, x = self._net_and_input(rng)
+        x_before = x.data.copy()
+        whole = execute_graph(g, x).data
+        walks = _spy_walks(monkeypatch)
+        _chunk_of(monkeypatch, g, 2)
+        chunked = execute_graph(g, x).data
+        assert walks == [2, 2, 1]
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+        np.testing.assert_array_equal(x.data, x_before)
+
+    def test_chunks_of_one_equal_per_sample_runs(self, rng, monkeypatch):
+        g, x = self._net_and_input(rng)
+        single = [execute_graph(g, Tensor(x.data[i:i + 1])).data for i in range(5)]
+        walks = _spy_walks(monkeypatch)
+        _chunk_of(monkeypatch, g, 1)
+        chunked = execute_graph(g, x).data
+        assert walks == [1] * 5
+        np.testing.assert_array_equal(chunked, np.concatenate(single))
+
+    def test_fractional_gates_in_chunks(self, rng, monkeypatch):
+        g, x = self._net_and_input(rng)
+        gates = {aid: 0.5 for b in g.blocks for aid in b.act_node_ids}
+        whole = execute_graph(g, x, gates).data
+        _chunk_of(monkeypatch, g, 2)
+        chunked = execute_graph(g, x, gates).data
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+        assert not np.allclose(chunked, execute_graph(g, x).data)
+
+    def test_taped_walk_and_one_sample_are_one_walk(self, rng, monkeypatch):
+        g, x = self._net_and_input(rng)
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 1)
+        walks = _spy_walks(monkeypatch)
+        tape = []
+        execute_graph(g, x, tape=tape)
+        execute_graph(g, Tensor(x.data[:1]))
+        assert walks == [5, 1]
+        assert len(tape) == len(g.nodes)
+
+    def test_batch_within_budget_is_one_walk(self, rng, monkeypatch):
+        g, x = self._net_and_input(rng)
+        walks = _spy_walks(monkeypatch)
+        execute_graph(g, x)
+        _chunk_of(monkeypatch, g, 5)
+        execute_graph(g, x)
+        assert walks == [5, 5]
+
+    def test_flatten_only_graph_returns_a_new_array(self, rng, monkeypatch):
+        g = NetGraph((Node("flat", Flatten(), ()),), (1, 2, 3, 3))
+        x = Tensor.of(rng.standard_normal((3, 2, 3, 3)))
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 1)
+        out = execute_graph(g, x).data
+        assert out.shape == (3, 18, 1, 1) and not np.may_share_memory(out, x.data)
+        np.testing.assert_array_equal(out, x.data.reshape(3, 18, 1, 1))
+
+    def test_shape_errors_keep_their_type(self, rng):
+        g = NetGraph((Node("add", Add(), ()),), (1, 2, 3, 3))
+        for n in (1, 2):
+            with pytest.raises(ShapeError):
+                execute_graph(g, Tensor.of(rng.standard_normal((n, 2, 3, 3))))
+        with pytest.raises(GraphError, match="'add': Add takes 2 input"):
+            validate_graph(g)
 
 
 class TestGraphJson:
