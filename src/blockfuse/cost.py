@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .core import ConvLayer, Linear, layer_arrays
-from .errors import GraphError
+from .errors import ConfigError, GraphError
 from .graph import BlockAnnotation, LatencyTable, NetGraph, validate_graph
 
 
@@ -82,6 +82,8 @@ def _numel(dims) -> int:
 
 def cost_report(graph: NetGraph, precision_bits: int = 16,
                 latency: Optional[LatencyTable] = None) -> CostReport:
+    if precision_bits < 1:
+        raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
     shapes = validate_graph(graph)
     index = graph.node_index
     in_dims_of: Dict[str, tuple] = {}

@@ -31,9 +31,8 @@ from .graph import (
     NetGraph,
     gain1_conv_init,
     irb,
-    network_order,
+    reindex_blocks,
     splice,
-    topological_order,
     validate_graph,
 )
 
@@ -55,7 +54,7 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
     if irb_blocks:
         targets, kernel = [b.node_ids[0] for b in irb_blocks if b.block_id % 2 == 0], 1
     else:
-        conv_ids = [n.node_id for n in topological_order(graph)
+        conv_ids = [n.node_id for n in graph.nodes
                     if isinstance(n.layer, ConvLayer) and n.layer.groups == 1
                     and n.layer.kernel_h == 3 and n.layer.kernel_w == 3]
         # a conv inside a block is a target only when it is the whole of a
@@ -82,11 +81,4 @@ def expand_for_training(graph: NetGraph, seed: int = 0) -> NetGraph:
         graph = splice(replace(graph, blocks=tuple(
             b for b in graph.blocks if b.node_ids != (conv_id,))), (conv_id,), nodes)
         new_blocks.append(block)
-    return _reindex_blocks(replace(graph, blocks=graph.blocks + tuple(new_blocks)))
-
-
-def _reindex_blocks(graph: NetGraph) -> NetGraph:
-    blocks = tuple(replace(b, block_id=i) for i, b in enumerate(network_order(graph)))
-    out = replace(graph, blocks=blocks)
-    validate_graph(out)
-    return out
+    return reindex_blocks(replace(graph, blocks=graph.blocks + tuple(new_blocks)))

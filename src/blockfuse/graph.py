@@ -51,6 +51,9 @@ class LatencyTable:
 
 @dataclass(frozen=True)
 class NetGraph:
+    """A network: `nodes` lists every node after its inputs, and `blocks[i]` is
+    block i, the blocks listed in network order (`validate_graph` checks both)."""
+
     nodes: Tuple[Node, ...]
     input_dims: Tuple[int, int, int, int]
     blocks: Tuple[BlockAnnotation, ...] = ()
@@ -118,8 +121,8 @@ def irb(prefix: str, inputs: Tuple[str, ...], c_in: int, c_out: int,
 def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> NetGraph:
     """Replace the nodes of `span` (its exit last) with `new_nodes`, placed where
     the span's first node was. Nodes outside the span that read the exit read the
-    new tail instead, and every block that holds the span lists the new ids in
-    its place."""
+    new tail instead, every block that holds the span lists the new ids in its
+    place, and every block strictly inside the span is dropped."""
     members = set(span)
     new_ids = tuple(n.node_id for n in new_nodes)
     exit_id, tail = span[-1], new_ids[-1]
@@ -132,7 +135,10 @@ def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> Net
                 tail if ref == exit_id else ref for ref in n.input_ids)))
     blocks = []
     for b in graph.blocks:
-        if members <= set(b.node_ids):
+        held = set(b.node_ids)
+        if held < members:
+            continue
+        if members <= held:
             ids: List[str] = []
             for nid in b.node_ids:
                 if nid == span[0]:
@@ -145,39 +151,22 @@ def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> Net
 
 
 def topological_order(graph: NetGraph) -> List[Node]:
-    index = {}
+    """`graph.nodes` as a list, after checking that node ids are unique and that
+    every input is listed before the node that reads it, the order every graph
+    holds (so none has a cycle)."""
+    ids = {n.node_id for n in graph.nodes}
+    listed = set()
     for n in graph.nodes:
-        if n.node_id in index:
+        if n.node_id in listed:
             raise GraphError(f"duplicate node id {n.node_id!r}")
-        index[n.node_id] = n
-    for n in graph.nodes:
         for ref in n.input_ids:
-            if ref not in index:
+            if ref not in ids:
                 raise GraphError(f"node {n.node_id!r} references unknown input {ref!r}")
-    order: List[Node] = []
-    state: Dict[str, int] = {}  # 0 visiting, 1 done
-
-    for root in graph.nodes:
-        if root.node_id in state:
-            continue
-        stack = [(root, iter(root.input_ids))]
-        state[root.node_id] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for ref in it:
-                if state.get(ref) == 0:
-                    raise GraphError(f"cycle involving node {ref!r}")
-                if ref not in state:
-                    state[ref] = 0
-                    stack.append((index[ref], iter(index[ref].input_ids)))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                state[node.node_id] = 1
-                order.append(node)
-    return order
+            if ref not in listed:
+                raise GraphError(f"node {n.node_id!r} is listed before its input {ref!r}: "
+                                 f"list nodes after their inputs (a cycle has no such order)")
+        listed.add(n.node_id)
+    return list(graph.nodes)
 
 
 def graph_sink(graph: NetGraph) -> Node:
@@ -189,10 +178,18 @@ def graph_sink(graph: NetGraph) -> Node:
 
 
 def network_order(graph: NetGraph) -> List[BlockAnnotation]:
-    """The blocks ranked by where their entry runs; a nested block that shares its
-    entry with the containing block ranks after it."""
-    position = {n.node_id: i for i, n in enumerate(topological_order(graph))}
+    """The blocks ranked by where their entry is listed; a nested block that shares
+    its entry with the containing block ranks after it."""
+    position = {n.node_id: i for i, n in enumerate(graph.nodes)}
     return sorted(graph.blocks, key=lambda b: (position[b.node_ids[0]], -len(b.node_ids)))
+
+
+def reindex_blocks(graph: NetGraph) -> NetGraph:
+    """`graph` with its blocks renumbered 0..B-1 in network order, validated."""
+    blocks = tuple(replace(b, block_id=i) for i, b in enumerate(network_order(graph)))
+    out = replace(graph, blocks=blocks)
+    validate_graph(out)
+    return out
 
 
 def _check_block(block: BlockAnnotation, index: Dict[str, Node],

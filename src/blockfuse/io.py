@@ -73,7 +73,7 @@ def _layer_to_json(layer: Layer) -> tuple:
 
 def _check_at_least(params: dict, keys, low: int, path: str) -> None:
     for key in keys:
-        if params[key] < low:
+        if _typed(params[key], int, f"{path}.params.{key}") < low:
             raise FormatError(f"bad params at {path}: {key} must be >= {low}, "
                               f"got {params[key]!r}")
 
@@ -90,12 +90,13 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
             _check_at_least(params, ("kernel_h", "kernel_w", "stride", "groups", "c_in",
                                      "c_out"), 1, path)
             _check_at_least(params, ("padding",), 0, path)
+            has_bias = _typed(params.get("has_bias", False), bool, f"{path}.params.has_bias")
             c_out = params["c_out"]
             shape = (c_out, params["c_in"] // params["groups"],
                      params["kernel_h"], params["kernel_w"])
             hw = params.get("bias_hw")
             if hw is not None and not (
-                    params.get("has_bias") and isinstance(hw, list) and len(hw) == 2
+                    has_bias and isinstance(hw, list) and len(hw) == 2
                     and all(type(v) is int and v >= 1 for v in hw)):
                 raise FormatError(f"bad params at {path}: bias_hw must be two integers "
                                   f">= 1 on a conv with has_bias, got {hw!r}")
@@ -103,7 +104,7 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
                 params["kernel_h"], params["kernel_w"], params["stride"],
                 params["padding"], params["groups"], params["c_in"], c_out,
                 weights=_placeholder(shape),
-                bias=_placeholder((c_out, *(hw or ()))) if params.get("has_bias") else None,
+                bias=_placeholder((c_out, *(hw or ()))) if has_bias else None,
             )
         if op == "bn":
             _check_at_least(params, ("channels",), 1, path)
@@ -118,7 +119,8 @@ def _layer_from_json(op: str, params: dict, path: str) -> Layer:
         if op == "linear":
             _check_at_least(params, ("in_features", "out_features"), 1, path)
             shape = (params["out_features"], params["in_features"])
-            bias = _placeholder((params["out_features"],)) if params.get("has_bias") else None
+            has_bias = _typed(params.get("has_bias", False), bool, f"{path}.params.has_bias")
+            bias = _placeholder((params["out_features"],)) if has_bias else None
             return Linear(_placeholder(shape), bias)
         if op == "add":
             return Add()
@@ -145,8 +147,9 @@ def graph_to_json(graph: NetGraph) -> dict:
 
 
 def _typed(value, kind: type, path: str):
-    """`value` if it is a `kind`, else a FormatError naming `path`."""
-    if not isinstance(value, kind):
+    """`value` if its type is exactly `kind`, else a FormatError naming `path`;
+    exactly, so JSON true and 1.0 do not pass as an int."""
+    if type(value) is not kind:
         raise FormatError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -165,10 +168,8 @@ def graph_from_json(doc: dict) -> NetGraph:
     if type(doc.get("version")) is not int or doc["version"] not in (1, GRAPH_VERSION):
         raise FormatError(f"$.version: expected 1 or {GRAPH_VERSION}, "
                           f"got {doc.get('version')!r}")
-    try:
-        input_dims = tuple(int(v) for v in doc["input_dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"$.input_dims: {exc}") from exc
+    input_dims = tuple(_typed(v, int, f"$.input_dims[{i}]") for i, v in
+                       enumerate(_typed(doc.get("input_dims"), list, "$.input_dims")))
     if len(input_dims) != 4 or min(input_dims) < 1:
         raise FormatError(f"$.input_dims: must be 4 entries >= 1, got {list(input_dims)}")
     nodes = []
@@ -186,10 +187,12 @@ def graph_from_json(doc: dict) -> NetGraph:
         path = f"$.blocks[{i}]"
         try:
             blocks.append(BlockAnnotation(
-                int(rec["block_id"]), rec["kind"],
+                _typed(rec["block_id"], int, f"{path}.block_id"), rec["kind"],
                 _node_ids(rec["node_ids"], f"{path}.node_ids"),
-                float(rec["expand_ratio"]), int(rec["dw_kernel"]), int(rec["stride"]),
-                bool(rec["has_residual"]),
+                float(rec["expand_ratio"]),
+                _typed(rec["dw_kernel"], int, f"{path}.dw_kernel"),
+                _typed(rec["stride"], int, f"{path}.stride"),
+                _typed(rec["has_residual"], bool, f"{path}.has_residual"),
                 _node_ids(rec["act_node_ids"], f"{path}.act_node_ids"),
             ))
         except (KeyError, TypeError, ValueError) as exc:

@@ -51,6 +51,7 @@ from .graph import (
     apply_mask_vector,
     execute_graph,
     merged_blocks,
+    reindex_blocks,
     splice,
     validate_graph,
 )
@@ -264,22 +265,17 @@ class ShrinkReport:
         return [vars(r) for r in self.records]
 
 
-def _containment_order(blocks) -> List[BlockAnnotation]:
-    # inner (nested) blocks must merge before the blocks that contain them; the
-    # sort is stable, so blocks of one depth keep the order they came in
-    def depth(b):
-        return sum(1 for other in blocks
-                   if other is not b and set(b.node_ids) < set(other.node_ids))
-    return sorted(blocks, key=lambda b: -depth(b))
-
-
 def shrink_graph(graph: NetGraph, mask,
                  free_activation: Optional[ActivationKind] = None
                  ) -> Tuple[NetGraph, ShrinkReport]:
     """Replace every mask-0 block by its merged dense conv.
 
     The mask is applied first, so mask-0 block activations are treated as
-    Identity whether or not the caller already replaced them."""
+    Identity whether or not the caller already replaced them. Blocks merge in
+    reverse network order, so a nested block merges before the block that holds
+    it; that merge drops the nested block, and the blocks left are renumbered
+    0..B'-1. The report keeps the input's block ids, and so do merged node ids
+    (`block<id>_merged`)."""
     shapes = validate_graph(graph)
     mask = list(mask)
     graph = apply_mask_vector(graph, mask)
@@ -293,7 +289,7 @@ def shrink_graph(graph: NetGraph, mask,
         records.append(BlockShrinkRecord(b.block_id, False, b.dw_kernel, b.stride,
                                          convs[0].c_in, convs[-1].c_out, flops, flops))
     work = graph
-    for block in _containment_order(merged_blocks(graph, mask)):
+    for block in reversed(merged_blocks(graph, mask)):
         entry = index[block.node_ids[0]]
         in_dims = shapes[entry.input_ids[0]] if entry.input_ids else graph.input_dims
         cur = work.blocks[block.block_id]
@@ -304,8 +300,7 @@ def shrink_graph(graph: NetGraph, mask,
             records[block.block_id].flops_before,
             node_flops(conv, layer_out_dims(conv, in_dims)),
         )
-    validate_graph(work)
-    return work, ShrinkReport(tuple(records))
+    return reindex_blocks(work), ShrinkReport(tuple(records))
 
 
 def _splice_merged(graph: NetGraph, block: BlockAnnotation, conv: ConvLayer,

@@ -51,6 +51,10 @@ class TestGenFixture:
         assert err["error"] == "GraphError"
 
 
+def _params(doc, node_id):
+    return next(n for n in doc["nodes"] if n["id"] == node_id)["params"]
+
+
 class TestCost:
     def test_prints_table_and_writes_json(self, tmp_path, capsys):
         out = _gen(tmp_path)
@@ -97,6 +101,17 @@ class TestCost:
         assert err["error"] == "FormatError" and message in err["message"]
         assert not (tmp_path / "search").exists()
 
+
+    # -8 printed negative byte counts and 0 all zeros, both with exit 0
+    @pytest.mark.parametrize("bits", ["0", "-8"])
+    def test_bits_below_1_exit_1(self, tmp_path, capsys, bits):
+        out = _gen(tmp_path)
+        capsys.readouterr()
+        assert run(["cost", "--graph", str(out), f"--bits={bits}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "precision_bits" in err["message"]
 
     def test_reads_no_weight_payloads(self, tmp_path, capsys):
         out = _gen(tmp_path, name="mbv2")
@@ -479,9 +494,35 @@ class TestErrorHandling:
         (lambda doc: doc.update(input_dims=[1, 0, 8, 8]), "FormatError", "$.input_dims"),
         (lambda doc: doc.update(input_dims=[1, -3, 8, 8]), "FormatError", "$.input_dims"),
         (lambda doc: doc.update(input_dims=[0, 3, 8, 8]), "FormatError", "$.input_dims"),
+        # a float passed `cost` and raised a TypeError in `verify` and `shrink`
+        (lambda doc: _params(doc, "b0_dw").update(padding=1.0), "FormatError",
+         ".params.padding: expected int, got float"),
+        (lambda doc: _params(doc, "b0_dw").update(stride=1.0), "FormatError",
+         ".params.stride: expected int"),
+        (lambda doc: _params(doc, "pool").update(stride=8.0), "FormatError",
+         ".params.stride: expected int"),
+        (lambda doc: _params(doc, "b0_bn1").update(channels=True), "FormatError",
+         ".params.channels: expected int, got bool"),
+        # these were coerced: 8.7 read as 8, 1.7 as 1, "false" as True
+        (lambda doc: doc.update(input_dims=[1, 3, 8.7, 8]), "FormatError",
+         "$.input_dims[2]: expected int"),
+        (lambda doc: doc["blocks"][1].update(block_id=1.7), "FormatError",
+         "$.blocks[1].block_id: expected int"),
+        (lambda doc: doc["blocks"][0].update(dw_kernel="3"), "FormatError",
+         "$.blocks[0].dw_kernel: expected int"),
+        (lambda doc: doc["blocks"][0].update(has_residual="false"), "FormatError",
+         "$.blocks[0].has_residual: expected bool, got str"),
+        (lambda doc: _params(doc, "b0_pw1").update(has_bias="false"), "FormatError",
+         ".params.has_bias: expected bool, got str"),
+        (lambda doc: _params(doc, "classifier").update(has_bias=1), "FormatError",
+         ".params.has_bias: expected bool, got int"),
+        (lambda doc: doc["nodes"].reverse(), "GraphError", "is listed before its input"),
     ], ids=["nodes-int", "node-list", "id-list", "inputs-str", "metadata-list",
             "version-bool", "version-float", "block-empty", "block-unknown-first",
-            "channels-0", "channels-negative", "batch-0"])
+            "channels-0", "channels-negative", "batch-0", "padding-float", "stride-float",
+            "pool-stride-float", "channels-bool", "input-dims-float", "block-id-float",
+            "dw-kernel-str", "residual-str", "conv-bias-str", "linear-bias-int",
+            "nodes-reversed"])
     def test_malformed_graph_exits_1(self, tmp_path, capsys, mutate, error, where):
         out = _gen(tmp_path)
         doc = json.loads((out / "graph.json").read_text())

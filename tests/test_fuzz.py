@@ -1,0 +1,81 @@
+"""Fuzz the graph.json reader: `cost` and `verify` on a mutated toy-irb-2 file
+exit 0, or exit 1 with a JSON error on stderr, and never end in a traceback."""
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockfuse.cli import run
+
+# every integer is at most 64 (as are those of toy-irb-2), so no mutation asks
+# for a large allocation
+VALUES = [-1, 0, 1, 2, 64, 1.0, 2.5, "3", True, None, [], {}]
+
+
+def _slots(doc) -> list:
+    """(container, key) of every value in `doc`, depth first."""
+    slots = []
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        slots.append((doc, key))
+        if isinstance(value, (dict, list)):
+            slots.extend(_slots(value))
+    return slots
+
+
+def _mutate(data, doc: dict) -> None:
+    """Set a value (half the time), or write an integer as the equal float, delete
+    a key, shuffle the nodes or duplicate a node."""
+    nodes = doc.get("nodes")
+    slots = _slots(doc)
+    ints = [(c, k) for c, k in slots if type(c[k]) is int]
+    others = (["retype"] if ints else []) + ["delete"] + (
+        ["shuffle", "duplicate"] if isinstance(nodes, list) and nodes else [])
+    kind = "set" if data.draw(st.booleans()) else data.draw(st.sampled_from(others))
+    if kind == "set":
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    elif kind == "retype":
+        container, key = data.draw(st.sampled_from(ints))
+        container[key] = float(container[key])
+    elif kind == "delete":
+        container, key = data.draw(st.sampled_from(
+            [(c, k) for c, k in slots if isinstance(c, dict)]))
+        del container[key]
+    elif kind == "shuffle":
+        doc["nodes"] = data.draw(st.permutations(nodes))
+    else:
+        node = copy.deepcopy(data.draw(st.sampled_from(nodes)))
+        nodes.insert(data.draw(st.integers(0, len(nodes))), node)
+
+
+@pytest.fixture(scope="module")
+def net(tmp_path_factory):
+    """A toy-irb-2 directory (seed 0) and its graph.json document."""
+    out = tmp_path_factory.mktemp("fuzz") / "net"
+    assert run(["gen-fixture", "toy-irb-2", "--seed", "0", "--out", str(out)]) == 0
+    return out, json.loads((out / "graph.json").read_text())
+
+
+def _run(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert isinstance(json.loads(err.getvalue())["error"], str)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_graph_never_ends_in_a_traceback(net, data):
+    out, base = net
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(data, doc)
+    (out / "graph.json").write_text(json.dumps(doc))
+    _run(["cost", "--graph", str(out)])
+    _run(["verify", "--before", str(out), "--after", str(out), "--samples", "1"])

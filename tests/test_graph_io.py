@@ -53,6 +53,16 @@ class TestGraphStructure:
             for ref in n.input_ids:
                 assert pos[ref] < pos[n.node_id]
 
+    def test_topological_order_is_the_node_list(self):
+        g = expand_for_training(toy_irb(2, seed=0), seed=1)
+        assert topological_order(g) == list(g.nodes)
+
+    def test_input_listed_after_its_reader(self):
+        nodes = (Node("a", identity_conv(2), ()), Node("c", identity_conv(2), ("b",)),
+                 Node("b", identity_conv(2), ("a",)))
+        with pytest.raises(GraphError, match="'c' is listed before its input 'b'"):
+            validate_graph(NetGraph(nodes, (1, 2, 4, 4)))
+
     def test_duplicate_node_id(self):
         nodes = (Node("a", identity_conv(2), ()), Node("a", identity_conv(2), ("a",)))
         with pytest.raises(GraphError, match="duplicate"):
@@ -238,6 +248,14 @@ class TestSpliceAndIrb:
         assert out.blocks[2] == other
         merged = replace(out.blocks[1], kind="plain_conv", act_node_ids=())
         validate_graph(replace(out, blocks=(out.blocks[0], merged, out.blocks[2])))
+
+    def test_splice_drops_a_block_strictly_inside_the_span(self, rng):
+        g = expand_for_training(toy_irb(2, seed=0), seed=1)
+        outer, _, other = g.blocks
+        entry = g.node(outer.node_ids[0])
+        out = splice(g, outer.node_ids,
+                     [Node("m", random_conv(rng, 8, 8, 3), entry.input_ids)])
+        assert out.blocks == (replace(outer, node_ids=("m",)), other)
 
     def test_splice_of_one_node_keeps_it_in_place(self):
         g = toy_irb(2, seed=0)

@@ -397,6 +397,30 @@ class TestShrinkGraph:
         with pytest.raises(GraphError):
             shrink_graph(toy_irb(2, seed=3), [0])
 
+    # blocks 1 and 4 of the expanded toy_irb(3) are nested in blocks 0 and 3;
+    # `merged` is the mask of the expanded graph that the shrinks add up to
+    @pytest.mark.parametrize("masks,merged,entries", [
+        ([[0, 0, 0, 0, 0]], [0, 0, 0, 0, 0],
+         ["block0_merged", "block2_merged", "block3_merged"]),
+        ([[1, 0, 1, 1, 0], [0, 1, 1, 1, 1]], [0, 0, 1, 1, 0],
+         ["block0_merged", "b1_pw1", "block4_merged", "block4_merged"]),
+    ], ids=["at-once", "nested-first"])
+    def test_a_nested_block_merges_with_the_block_that_holds_it(self, masks, merged,
+                                                                 entries):
+        from blockfuse.expand import expand_for_training
+        from blockfuse.graph import apply_mask_vector
+        g = expand_for_training(toy_irb(3, seed=2), seed=3)
+        work = g
+        for mask in masks:
+            work, report = shrink_graph(work, mask)
+            # the report keeps the input graph's block numbering
+            assert [r.merged for r in report.records] == [bit == 0 for bit in mask]
+        # a merged block drops the block nested in it; the rest are renumbered
+        assert [b.block_id for b in work.blocks] == list(range(len(entries)))
+        assert [b.node_ids[0] for b in work.blocks] == entries
+        masked = apply_mask_vector(g, merged)
+        assert verify_equivalence(masked, work, 3, 1e-10, seed=0).passed
+
     def test_free_activation_appended(self, rng):
         g = toy_irb(2, seed=3)
         shrunk, _ = shrink_graph(g, [0, 1], free_activation=ActivationKind.RELU6)

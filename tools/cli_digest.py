@@ -9,7 +9,8 @@ A change that should leave every output the same shows it with one diff:
 The pipeline: gen-fixture of toy-irb-3, vgg-toy and mbv2-1.4 (seed 7); shrink
 of mbv2-1.4 under DS-A and DS-F; expand of vgg-toy; expand of toy-irb-3 (5 blocks,
 1 and 4 nested in 0 and 3), then its shrink under [1,0,1,1,0], which merges the
-two nested blocks; shrink of toy-irb-3 under [0,1,0] with free activations; a
+two nested blocks, and under [0,0,0,0,0], which merges each nested block with the
+block that holds it; shrink of toy-irb-3 under [0,1,0] with free activations; a
 distilled finetune of toy-irb-3 under that mask with free activations, then its
 shrink and verify; a search of toy-irb-3 for k=1 with a latency table and L1
 decay, so the score update runs. Each command runs in its own interpreter with
@@ -37,6 +38,8 @@ PIPELINE = [
     ["expand", "--graph", "toy", "--out", "toy_expanded"],
     ["shrink", "--graph", "toy_expanded", "--mask", "mask_10110.json",
      "--out", "toy_expanded_shrunk"],
+    ["shrink", "--graph", "toy_expanded", "--mask", "mask_00000.json",
+     "--out", "toy_expanded_all"],
     ["shrink", "--graph", "toy", "--mask", "mask_010.json", "--free-act",
      "--out", "toy_free_act"],
     ["finetune", "--graph", "toy", "--mask", "mask_010.json", "--free-act", "--distill",
@@ -52,6 +55,7 @@ PIPELINE = [
 def run_pipeline(src: Path, work: Path) -> None:
     (work / "mask_010.json").write_text("[0, 1, 0]\n", encoding="utf-8")
     (work / "mask_10110.json").write_text("[1, 0, 1, 1, 0]\n", encoding="utf-8")
+    (work / "mask_00000.json").write_text("[0, 0, 0, 0, 0]\n", encoding="utf-8")
     (work / "latency.csv").write_text("block_id,latency_ms\n0,1.5\n1,3.0\n2,0.75\n",
                                       encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
