@@ -138,7 +138,12 @@ def backward(tape: GradTape, loss_grad: np.ndarray
 
     Weights come from the bound layers on the tape. The returned mask
     gradient is both d(loss)/d(m_hat) and, by the straight-through
-    identity, d(loss)/d(m).
+    identity, d(loss)/d(m). It reads act(z) from the tape at a gate of 1,
+    where the walker's output is act(z), and computes it only at a gate of 0.
+
+    Each node's gradient is dropped once read: in reverse tape order all of
+    its readers have run. The tape itself is left as it was, so it can be
+    read again.
     """
     sink = graph_sink(tape.graph).node_id
     grads: Dict[str, np.ndarray] = {sink: np.asarray(loss_grad)}
@@ -150,7 +155,7 @@ def backward(tape: GradTape, loss_grad: np.ndarray
 
     for entry in reversed(tape.entries):
         nid = entry.node.node_id
-        dout = grads.get(nid)
+        dout = grads.pop(nid, None)  # every reader of nid has run: final, read once
         if dout is None:
             continue
         layer = entry.node.layer
@@ -173,14 +178,14 @@ def backward(tape: GradTape, loss_grad: np.ndarray
             # dout * (g * dact + (1 - g)), which is dout at a gate of 0 and
             # dout * dact at a gate of 1 (or none), bit for bit
             z, g = entry.inputs[0], entry.gate
-            if entry.slot is not None:
-                m_grad[entry.slot] += float(np.vdot(dout, layer.kind.apply(z)) -
-                                            np.vdot(dout, z))
-            dact = _act_grad(layer.kind, z)
+            if entry.slot is not None:  # at a gate of 1 the output is act(z)
+                a = entry.output if g == 1.0 else layer.kind.apply(z)
+                m_grad[entry.slot] += float(np.vdot(dout, a) - np.vdot(dout, z))
+            dact = None if g == 0.0 else _act_grad(layer.kind, z)
             if g not in (None, 0.0, 1.0):
                 dact = np.ones_like(z) if dact is None else dact.astype(z.dtype)
                 dins = [dout * (g * dact + (1.0 - g))]
-            elif g == 0.0 or dact is None:
+            elif dact is None:
                 dins = [dout]
             else:
                 dins = [dout * dact]

@@ -8,9 +8,10 @@ most 16 output positions, and im2col plus a batched matmul over cache-sized
 blocks of (sample, group) rows for every other conv, a row too large for one
 column buffer going band by band over its output rows; the backward loops over
 kernel taps, never over groups. The depthwise backward and that small
-depthwise forward run channels-last (n, h, w, c): at the 1-16 px sizes of
-training, each strided op then loops over all channels instead of a short
-image row. The brute-force `conv_oracle` in the tests is the reference both
+depthwise forward run channels-last (n, h, w, c) inside and return C-contiguous
+(n, c, h, w) arrays: at the 1-16 px sizes of training, each strided op then
+loops over all channels instead of a short image row, and no caller reads a
+transposed view. The brute-force `conv_oracle` in the tests is the reference both
 are checked against. Default precision is f64; f32 exists only to emulate
 deployment error.
 
@@ -345,7 +346,11 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
 
 def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
                   padding: int, groups: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of `conv_forward(x, w, b, ...)` given d(loss)/d(out)."""
+    """Gradients (dx, dw, db) of `conv_forward(x, w, b, ...)` given d(loss)/d(out).
+
+    A depthwise conv runs channels-last, with one product buffer for every tap,
+    and copies dx back to a C-contiguous (n, c, h, w) array, which the BN,
+    activation and 1x1 gradients upstream then read without copies of their own."""
     n, c, h, wd = x.shape
     c_out, cg_in, kh, kw = w.shape
     oh, ow = dout.shape[2], dout.shape[3]
@@ -360,13 +365,13 @@ def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
         # channels-last: each strided op loops over c contiguous values
         xp = _padded_channels_last(x, padding)
         dl = np.ascontiguousarray(dout.transpose(0, 2, 3, 1))
-        dxp = np.zeros_like(xp)
+        dxp, tmp = np.zeros_like(xp), np.empty_like(dl)
         for i, j, win in _taps(kh, kw, stride, oh, ow):
             win = win[1:]  # the tap's (n, y, x) window of a channels-last array
             dw[:, 0, i, j] = np.einsum("nyxc,nyxc->c", dl, xp[win])
-            dxp[win] += dl * w[:, 0, i, j]
+            dxp[win] += np.multiply(dl, w[:, 0, i, j], out=tmp)
         dx = dxp[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
-        return dx, dw, db
+        return np.ascontiguousarray(dx), dw, db
     xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
     dxp = np.zeros_like(xp)
     d = dout.reshape(n, groups, c_out // groups, oh * ow)

@@ -325,8 +325,9 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
     """Evaluate the graph in topological order; nodes with no inputs read the graph input.
 
     An activation whose id is in `gates` outputs g * act(z) + (1 - g) * z; a gate of
-    exactly 1 is skipped. With a `tape` list, each node appends (node, inputs, output),
-    so every value is kept; without one, each value is freed after its last consumer.
+    exactly 1 is skipped, and a gate of exactly 0 returns its input z itself. With a
+    `tape` list, each node appends (node, inputs, output), so every value is kept;
+    without one, each value is freed after its last consumer.
 
     Without a tape the walker also reuses buffers: a value whose last consumer is this
     node goes to `execute_layer` as a spare buffer when it appears once among the
@@ -377,8 +378,8 @@ def _walk(order: List[Node], last_use: Dict[str, int], sink: str, x: Tensor,
         ins = [Tensor(values[ref].data, spare=reuse and last_use[ref] == i
                       and refs.count(ref) == 1 and unshared(ref))
                for ref in refs] if refs else [x]
-        out = execute_layer(node.layer, *ins)
-        if g != 1.0:
+        out = ins[0] if g == 0.0 else execute_layer(node.layer, *ins)
+        if g not in (0.0, 1.0):
             out = Tensor(g * out.data + (1.0 - g) * ins[0].data)
         values[node.node_id] = out
         if tape is not None:

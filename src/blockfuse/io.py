@@ -186,6 +186,12 @@ def graph_from_json(doc: dict) -> NetGraph:
     for i, rec in enumerate(_typed(doc.get("blocks", []), list, "$.blocks")):
         path = f"$.blocks[{i}]"
         try:
+            if rec["kind"] not in ("inverted_residual", "plain_conv"):
+                raise FormatError(f"{path}.kind: expected 'inverted_residual' or "
+                                  f"'plain_conv', got {rec['kind']!r}")
+            if type(rec["expand_ratio"]) not in (int, float):  # not a bool or a string
+                raise FormatError(f"{path}.expand_ratio: expected a number, "
+                                  f"got {type(rec['expand_ratio']).__name__}")
             blocks.append(BlockAnnotation(
                 _typed(rec["block_id"], int, f"{path}.block_id"), rec["kind"],
                 _node_ids(rec["node_ids"], f"{path}.node_ids"),

@@ -22,6 +22,7 @@ from blockfuse.core import (
     Tensor,
     conv_backward,
     conv_forward,
+    pool_conv,
 )
 from blockfuse.errors import GraphError, NumericError, ShapeError
 from blockfuse.fixtures import mobilenet_v2, toy_irb
@@ -184,6 +185,8 @@ def _check_adjoint(rng, x, c_out, k, stride, padding, groups):
     np.testing.assert_array_equal(d, d_before)
     assert dx.shape == x.shape and dw.shape == w.shape
     assert dx.dtype == dw.dtype == dtype
+    if groups == x.shape[1] == c_out:  # the depthwise backward hands dx back as (n, c, h, w)
+        assert dx.flags.c_contiguous
     inner = np.vdot(y, d)
     tol = CONV_TOL[dtype] * np.linalg.norm(y) * np.linalg.norm(d)
     assert abs(np.vdot(x, dx) - inner) <= tol
@@ -204,6 +207,17 @@ class TestConvBackward:
                                             padding, groups, dtype):
         x = rng.standard_normal((n, c_in, h, w)).astype(dtype)
         _check_adjoint(rng, x, c_out, k, stride, padding, groups)
+
+    @pytest.mark.parametrize("k,stride,size", [(3, 1, 5), (3, 2, 8), (2, 2, 4), (4, 1, 4)])
+    def test_pool_input_gradient_is_a_contiguous_adjoint(self, rng, k, stride, size):
+        x = rng.standard_normal((2, 3, size, size))
+        pool = pool_conv(AvgPool(k, stride), 3)
+        y = conv_forward(x, pool.weights, None, stride, 0, 3)
+        d = rng.standard_normal(y.shape)
+        dx = conv_backward(d, x, pool.weights, stride, 0, 3)[0]
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        assert abs(np.vdot(x, dx) - np.vdot(y, d)) <= 1e-12 * np.linalg.norm(y) * \
+            np.linalg.norm(d)
 
 
 class TestParameterGradients:
@@ -300,6 +314,18 @@ def _tape(graph, x, gates):
                             for node, ins, y in records], 1)
 
 
+def _lone_activation(kind):
+    """A graph of one activation, which reads the graph input as its z."""
+    return NetGraph((Node("act", Activation(kind), ()),), (1, 4, 5, 5))
+
+
+def _planted_z(rng):
+    """A (1, 4, 5, 5) input with values planted on both kinks and a -0.0."""
+    z = rng.uniform(-3, 9, (1, 4, 5, 5))
+    z[0, 0, 0, :3] = [0.0, 6.0, -0.0]
+    return z
+
+
 class TestActivationAndBnBackward:
     @pytest.mark.parametrize("gate", [0.0, 1.0, 0.5, None])
     @pytest.mark.parametrize("kind", list(ActivationKind))
@@ -380,3 +406,35 @@ class TestMaskGradients:
         gated = [e for e in tape.entries if e.slot is not None]
         assert len(gated) == 2
         assert {e.slot for e in gated} == {0}
+
+    @pytest.mark.parametrize("gate", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_binary_gate_mask_gradient_is_read_from_the_tape(self, rng, kind, gate):
+        # bit for bit the formula on the tape's own z, whether act(z) is the
+        # walker's output (gate 1) or computed in the backward (gate 0)
+        tape = _tape(_lone_activation(kind), _planted_z(rng), {"act": gate})
+        dout = rng.standard_normal((1, 4, 5, 5))
+        _, m_grad = backward(tape, dout)
+        z = tape.entries[0].inputs[0]
+        assert m_grad[0] == float(np.vdot(dout, kind.apply(z)) - np.vdot(dout, z))
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_zero_gate_outputs_its_input(self, rng, kind):
+        # bit for bit: under ReLU the blend 0 * act(z) + 1 * z turns the planted
+        # -0.0 into +0.0
+        (entry,) = _tape(_lone_activation(kind), _planted_z(rng), {"act": 0.0}).entries
+        assert np.signbit(entry.inputs[0]).any()
+        assert np.array_equal(entry.output.view(np.uint64), entry.inputs[0].view(np.uint64))
+
+    def test_backward_leaves_the_tape_reusable(self):
+        # one block gated 0 and one gated 1: a second backward on the same tape
+        # returns the same gradients, bit for bit
+        graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
+        state = MaskState(np.array([2.0, 1.0]), 1, np.ones(2))
+        _, tape = _loss(graph, params, state, x, lw)
+        dout = lw * np.ones_like(tape.entries[-1].output)
+        first, second = backward(tape, dout), backward(tape, dout)
+        assert set(first[0]) == set(second[0])
+        for name, grad in first[0].items():
+            assert np.array_equal(grad, second[0][name]), name
+        assert np.array_equal(first[1], second[1])

@@ -517,12 +517,19 @@ class TestErrorHandling:
         (lambda doc: _params(doc, "classifier").update(has_bias=1), "FormatError",
          ".params.has_bias: expected bool, got int"),
         (lambda doc: doc["nodes"].reverse(), "GraphError", "is listed before its input"),
+        # these loaded: float() read "3" as 3.0 and true as 1.0, and no kind was checked
+        (lambda doc: doc["blocks"][0].update(expand_ratio="3"), "FormatError",
+         "$.blocks[0].expand_ratio: expected a number, got str"),
+        (lambda doc: doc["blocks"][0].update(expand_ratio=True), "FormatError",
+         "$.blocks[0].expand_ratio: expected a number, got bool"),
+        (lambda doc: doc["blocks"][1].update(kind=64), "FormatError",
+         "$.blocks[1].kind: expected 'inverted_residual' or 'plain_conv', got 64"),
     ], ids=["nodes-int", "node-list", "id-list", "inputs-str", "metadata-list",
             "version-bool", "version-float", "block-empty", "block-unknown-first",
             "channels-0", "channels-negative", "batch-0", "padding-float", "stride-float",
             "pool-stride-float", "channels-bool", "input-dims-float", "block-id-float",
             "dw-kernel-str", "residual-str", "conv-bias-str", "linear-bias-int",
-            "nodes-reversed"])
+            "nodes-reversed", "expand-ratio-str", "expand-ratio-bool", "kind-int"])
     def test_malformed_graph_exits_1(self, tmp_path, capsys, mutate, error, where):
         out = _gen(tmp_path)
         doc = json.loads((out / "graph.json").read_text())

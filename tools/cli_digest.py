@@ -13,7 +13,8 @@ two nested blocks, and under [0,0,0,0,0], which merges each nested block with th
 block that holds it; shrink of toy-irb-3 under [0,1,0] with free activations; a
 distilled finetune of toy-irb-3 under that mask with free activations, then its
 shrink and verify; a search of toy-irb-3 for k=1 with a latency table and L1
-decay, so the score update runs. Each command runs in its own interpreter with
+decay, so the score update runs; a search of toy-irb-3 for k=0, where every
+block activation is gated 0. Each command runs in its own interpreter with
 `--src` first on PYTHONPATH (default: this checkout's src). Outputs go to a
 temporary directory that is removed afterwards, or to `--out`, which is kept.
 """
@@ -49,6 +50,7 @@ PIPELINE = [
      "--out", "finetune_verify.json"],
     ["search", "--graph", "toy", "--k", "1", "--latency", "latency.csv", "--decay", "0.01",
      *TRAIN, "--out", "search"],
+    ["search", "--graph", "toy", "--k", "0", *TRAIN, "--out", "search_k0"],
 ]
 
 
