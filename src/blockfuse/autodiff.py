@@ -161,7 +161,7 @@ def backward(tape: GradTape, loss_grad: np.ndarray
         layer = entry.node.layer
         if isinstance(layer, ConvLayer):
             dx, dw, db = conv_backward(dout, entry.inputs[0], layer.weights, layer.stride,
-                                       layer.padding, layer.groups)
+                                       layer.padding, layer.groups, bool(entry.node.input_ids))
             add_to(pgrads, f"{nid}.weight", dw)
             if layer.bias is not None:  # a bias map gets a per-position gradient
                 add_to(pgrads, f"{nid}.bias", db if layer.bias.ndim == 1 else dout.sum(axis=0))

@@ -345,8 +345,10 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
 
 
 def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
-                  padding: int, groups: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of `conv_forward(x, w, b, ...)` given d(loss)/d(out).
+                  padding: int, groups: int, input_grad: bool = True
+                  ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of `conv_forward(x, w, b, ...)` given d(loss)/d(out);
+    dx is None, and not computed, when `input_grad` is false.
 
     A depthwise conv runs channels-last, with one product buffer for every tap,
     and copies dx back to a C-contiguous (n, c, h, w) array, which the BN,
@@ -358,7 +360,7 @@ def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
         d = dout.reshape(n, c_out, oh * ow)
         dw = np.tensordot(d, x.reshape(n, c, h * wd), axes=([0, 2], [0, 2]))
-        dx = np.matmul(w[:, :, 0, 0].T, d).reshape(x.shape)
+        dx = np.matmul(w[:, :, 0, 0].T, d).reshape(x.shape) if input_grad else None
         return dx, dw.reshape(w.shape), db
     dw = np.empty(w.shape, dtype=w.dtype)
     if groups == c == c_out:
@@ -369,9 +371,10 @@ def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
         for i, j, win in _taps(kh, kw, stride, oh, ow):
             win = win[1:]  # the tap's (n, y, x) window of a channels-last array
             dw[:, 0, i, j] = np.einsum("nyxc,nyxc->c", dl, xp[win])
-            dxp[win] += np.multiply(dl, w[:, 0, i, j], out=tmp)
+            if input_grad:
+                dxp[win] += np.multiply(dl, w[:, 0, i, j], out=tmp)
         dx = dxp[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(dx), dw, db
+        return np.ascontiguousarray(dx) if input_grad else None, dw, db
     xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) if padding else x
     dxp = np.zeros_like(xp)
     d = dout.reshape(n, groups, c_out // groups, oh * ow)
@@ -380,9 +383,10 @@ def conv_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     for i, j, win in _taps(kh, kw, stride, oh, ow):
         patch = xp[win].reshape(n, groups, cg_in, oh * ow)
         dwg[..., i, j] = np.matmul(d, patch.swapaxes(-1, -2)).sum(axis=0)
-        dxp[win] += np.matmul(wg[..., i, j].swapaxes(-1, -2), d).reshape(n, c, oh, ow)
+        if input_grad:
+            dxp[win] += np.matmul(wg[..., i, j].swapaxes(-1, -2), d).reshape(n, c, oh, ow)
     dx = dxp[:, :, padding : h + padding, padding : wd + padding] if padding else dxp
-    return dx, dw, db
+    return dx if input_grad else None, dw, db
 
 
 def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:

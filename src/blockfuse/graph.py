@@ -130,8 +130,8 @@ def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> Net
     for n in graph.nodes:
         if n.node_id == span[0]:
             nodes.extend(new_nodes)
-        elif n.node_id not in members:
-            nodes.append(replace(n, input_ids=tuple(
+        elif n.node_id not in members:  # a node that does not read the exit stays as it is
+            nodes.append(n if exit_id not in n.input_ids else replace(n, input_ids=tuple(
                 tail if ref == exit_id else ref for ref in n.input_ids)))
     blocks = []
     for b in graph.blocks:

@@ -17,11 +17,13 @@ a BN with no conv right before it as the depthwise 1x1 conv of its scale
 Composition of two convs (cross-correlation orientation, stride-aware):
 merged kernel size d = (d2 - 1) * s1 + d1, stride s1 * s2, padding
 p1 + s1 * p2, with second-kernel taps spaced s1 apart in the merged kernel.
-A depthwise second conv composes directly, as a per-output-channel scale of
-the first kernel at each tap; the dense lift is only for the chain's first
-conv and for general grouped convs. L is inexact only where a zero-padded
-conv follows a kernel wider than 1x1, and `merge_chain` raises on such a
-chain.
+A depthwise conv between two dense 1x1 convs (an IRB's pw1 -> dw -> pw2)
+composes with both tap by tap into the merged kernel, tap t = w2 @ (dw_t * w1),
+so the hidden-width kernel of dw o pw1 is never held. Any other depthwise
+second conv composes directly, as a per-output-channel scale of the first
+kernel at each tap. The dense lift is only for the chain's first conv and for
+general grouped convs. L is inexact only where a zero-padded conv follows a
+kernel wider than 1x1, and `merge_chain` raises on such a chain.
 """
 from __future__ import annotations
 
@@ -107,21 +109,40 @@ def compose_convs(first: ConvLayer, second: ConvLayer) -> ConvLayer:
     d = (d2 - 1) * s1 + d1
     w1, w2 = first.weights, second.weights
     merged = np.zeros((second.c_out, first.c_in, d, d))
-    if d2 == 1 and not depthwise:  # one tap: the kernel is one matrix product
-        np.matmul(w2[:, :, 0, 0], w1.reshape(first.c_out, -1),
-                  out=merged.reshape(second.c_out, -1))
+    if d2 == 1 and not depthwise:  # one matrix product per tap, as `_compose_taps` runs
+        taps = np.ascontiguousarray(w1.transpose(2, 3, 0, 1))
+        for p, q in np.ndindex(d1, d1):
+            np.matmul(w2[:, :, 0, 0], taps[p, q], out=merged[:, :, p, q])
     elif d1 == 1 and depthwise:  # taps s1 apart: one broadcast product
         np.multiply(w2, w1, out=merged[:, :, ::s1, ::s1])
     else:  # tap by tap; taps overlap where the first kernel is wider than 1x1
-        for p in range(d2):
-            for q in range(d2):
-                if depthwise:
-                    tap = w2[:, 0, p, q][:, None, None, None] * w1
-                else:
-                    tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
-                merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
+        for p, q in np.ndindex(d2, d2):
+            if depthwise:
+                tap = w2[:, 0, p, q][:, None, None, None] * w1
+            else:
+                tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
+            merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
     return ConvLayer(d, d, s1 * second.stride, first.padding + s1 * second.padding,
                      1, first.c_in, second.c_out, merged)
+
+
+def _compose_taps(first: ConvLayer, dw: ConvLayer, second) -> Optional[ConvLayer]:
+    """`compose_convs(compose_convs(first, dw), second)` bit for bit, one tap at a time
+    through one (hidden, c_in) scratch; None for any other shape than the one below."""
+    plain_1x1 = ((1, 1), 0, 1)  # the kernel, padding and groups of an unpadded dense 1x1
+    if not (isinstance(second, ConvLayer) and dw.is_depthwise and dw.kernel_h == dw.kernel_w
+            and first.stride == 1 and first.c_out == dw.c_in == second.c_in
+            and (first.weights.shape[2:], first.padding, first.groups) == plain_1x1
+            == (second.weights.shape[2:], second.padding, second.groups)):
+        return None
+    second, k = lift_to_dense(second), dw.kernel_h
+    w1, w2 = first.weights[:, :, 0, 0], second.weights[:, :, 0, 0]
+    merged, scratch = np.empty((second.c_out, first.c_in, k, k)), np.empty(w1.shape)
+    for p, q in np.ndindex(k, k):
+        np.matmul(w2, np.multiply(dw.weights[:, 0, p, q, None], w1, out=scratch),
+                  out=merged[:, :, p, q])
+    return ConvLayer(k, k, dw.stride * second.stride, dw.padding, 1, first.c_in,
+                     second.c_out, merged)
 
 
 def absorb_residual(conv: ConvLayer) -> ConvLayer:
@@ -188,7 +209,8 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
     # the accumulated conv's kernel is L; the biases it picks up along the way
     # are dropped for f(0) at the end
     acc: Optional[ConvLayer] = None
-    for nid, layer in linear:
+    while linear:
+        nid, layer = linear.pop(0)
         if isinstance(layer, BatchNormLayer):  # no conv right before it
             conv = bn_to_conv(layer)
         elif isinstance(layer, AvgPool):
@@ -204,6 +226,9 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
         elif nxt.padding and acc.kernel_h > 1:
             raise MergeError(f"padded conv at {nid!r} follows a {acc.kernel_h}x"
                              f"{acc.kernel_w} kernel: no single conv is exact at the border")
+        elif linear and (tapped := _compose_taps(acc, nxt, linear[0][1])):
+            acc = tapped
+            del linear[0]  # the 1x1 conv composed in
         else:
             acc = compose_convs(acc, nxt)
     if acc is None:
@@ -216,27 +241,17 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
     return replace(acc, bias=bias)
 
 
-def block_chain(graph: NetGraph, block: BlockAnnotation) -> List[Tuple[str, object]]:
-    index = graph.node_index
-    return [(nid, index[nid].layer) for nid in block.node_ids
-            if not isinstance(index[nid].layer, Add)]
-
-
 def merge_block(graph: NetGraph, block: BlockAnnotation, in_dims) -> ConvLayer:
     """Collapse one annotated block that reads `in_dims`: fold BNs, compose
     the convs, and absorb the skip if present."""
-    merged = merge_chain(block_chain(graph, block), block.has_residual, in_dims)
-    if block.kind == "inverted_residual":
-        if merged.kernel_h != block.dw_kernel:
-            raise MergeError(
-                f"block {block.block_id}: merged kernel {merged.kernel_h} "
-                f"!= depthwise kernel {block.dw_kernel}"
-            )
-        if merged.stride != block.stride:
-            raise MergeError(
-                f"block {block.block_id}: merged stride {merged.stride} "
-                f"!= block stride {block.stride}"
-            )
+    index = graph.node_index
+    chain = [(nid, index[nid].layer) for nid in block.node_ids
+             if not isinstance(index[nid].layer, Add)]
+    merged = merge_chain(chain, block.has_residual, in_dims)
+    if block.kind == "inverted_residual" and \
+            (merged.kernel_h, merged.stride) != (block.dw_kernel, block.stride):
+        raise MergeError(f"block {block.block_id}: merged kernel/stride {merged.kernel_h}/"
+                         f"{merged.stride} != dw_kernel/stride {block.dw_kernel}/{block.stride}")
     return merged
 
 

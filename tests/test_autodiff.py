@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import blockfuse.autodiff as autodiff_module
 from blockfuse.autodiff import (
     GradTape,
     MaskState,
@@ -183,6 +184,12 @@ def _check_adjoint(rng, x, c_out, k, stride, padding, groups):
     dx, dw, db = conv_backward(d, x, w, stride, padding, groups)
     np.testing.assert_array_equal(x, x_before)
     np.testing.assert_array_equal(d, d_before)
+    # without the input gradient: dx is None, and dw and db are the same bits
+    no_dx, dw_alone, db_alone = conv_backward(d, x, w, stride, padding, groups,
+                                              input_grad=False)
+    assert no_dx is None
+    assert np.array_equal(dw_alone.view(np.uint8), dw.view(np.uint8))
+    assert np.array_equal(db_alone.view(np.uint8), db.view(np.uint8))
     assert dx.shape == x.shape and dw.shape == w.shape
     assert dx.dtype == dw.dtype == dtype
     if groups == x.shape[1] == c_out:  # the depthwise backward hands dx back as (n, c, h, w)
@@ -293,6 +300,30 @@ class TestParameterGradients:
         pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
         trainable = {k for k in params if not k.endswith((".mean", ".var"))}
         assert set(pgrads) == trainable != set(params)
+
+    def test_a_conv_that_reads_the_graph_input_computes_no_input_gradient(self,
+                                                                          monkeypatch):
+        graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
+        _, tape = _loss(graph, params, None, x, lw)
+        dout = lw * np.ones_like(tape.entries[-1].output)
+        real = autodiff_module.conv_backward
+        asked = []
+
+        def recording(*args):
+            asked.append(args[6] if len(args) > 6 else True)  # the pool passes 6
+            return real(*args)
+
+        monkeypatch.setattr(autodiff_module, "conv_backward", recording)
+        pgrads, _ = backward(tape, dout)
+        # the stem is the one node that reads the graph input, and the backward
+        # reaches it last
+        assert asked[-1] is False and asked.count(False) == 1
+        monkeypatch.setattr(autodiff_module, "conv_backward",
+                            lambda *args: real(*args[:6]))
+        with_dx, _ = backward(tape, dout)
+        assert set(pgrads) == set(with_dx)
+        for name, grad in with_dx.items():
+            assert np.array_equal(pgrads[name].view(np.uint8), grad.view(np.uint8)), name
 
     def test_gradients_accumulate_over_residual_paths(self):
         # the stem output feeds both the block chain and the skip Add

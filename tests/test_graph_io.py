@@ -257,6 +257,18 @@ class TestSpliceAndIrb:
                      [Node("m", random_conv(rng, 8, 8, 3), entry.input_ids)])
         assert out.blocks == (replace(outer, node_ids=("m",)), other)
 
+    def test_splice_rebuilds_only_the_nodes_that_read_the_exit(self):
+        g = toy_irb(2, seed=0)
+        span = g.blocks[0].node_ids
+        entry = g.node(span[0])
+        out = splice(g, span, [Node("m", entry.layer, entry.input_ids)])
+        readers = {n.node_id for n in g.nodes if span[-1] in n.input_ids}
+        assert readers == {"b1_pw1", "b1_add"}
+        for n in out.nodes[1:]:
+            if n.node_id != "m":
+                assert (n is g.node(n.node_id)) == (n.node_id not in readers), n.node_id
+                assert span[-1] not in n.input_ids
+
     def test_splice_of_one_node_keeps_it_in_place(self):
         g = toy_irb(2, seed=0)
         act = Node("extra", Activation(ActivationKind.IDENTITY), ("b0_add",))

@@ -1,5 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockfuse.merge as merge_module
 from blockfuse.core import (
@@ -367,6 +372,105 @@ class TestMergeBlock:
         before = execute_graph(g, x).data
         after = execute_layer(merged, x).data
         assert _max_err(before, after) <= 1e-10
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("dw_kernel", 5, "merged kernel/stride 3/1 != dw_kernel/stride 5/1"),
+        ("stride", 2, "merged kernel/stride 3/1 != dw_kernel/stride 3/2"),
+    ])
+    def test_an_annotation_that_disagrees_with_the_merged_conv_raises(self, rng, field,
+                                                                       value, message):
+        g = irb_graph(rng, 4, 4, 2, 3, 1, residual=False)
+        with pytest.raises(MergeError, match=message):
+            merge_block(g, replace(g.blocks[0], **{field: value}), g.input_dims)
+
+    def test_a_wide_block_never_holds_its_hidden_width_kernel(self):
+        # pw1 -> dw alone is a (384, 64, 3, 3) kernel, 1.77 MB; the merged one is a
+        # sixth of that, and the tap-by-tap merge peaks at about 1.0 MB. Unbiased BNs
+        # map zero to zero, so no zero-input run of the chain adds to the peak.
+        g = irb_graph(np.random.default_rng(0), 64, 64, 6, 3, 1, residual=True)
+        dw = g.node("dw").layer
+        hidden_kernel = dw.c_out * g.node("pw1").layer.c_in * dw.kernel_h * dw.kernel_w * 8
+        tracemalloc.start()
+        try:
+            merged = merge_block(g, g.blocks[0], g.input_dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.weights.shape == (64, 64, 3, 3)
+        assert peak < hidden_kernel
+
+
+def _pairwise(chain, residual):
+    """The kernel of an IRB chain composed a pair at a time: each BN folded into
+    its conv, then compose_convs(compose_convs(pw1, dw), pw2)."""
+    layers = dict(chain)
+    pw1, dw, pw2 = (fold_bn_into_conv(layers[conv], layers[bn])
+                    for conv, bn in (("pw1", "bn1"), ("dw", "bn2"), ("pw2", "bn3")))
+    merged = compose_convs(compose_convs(pw1, dw), pw2)
+    return absorb_residual(merged) if residual else merged
+
+
+class TestTapComposition:
+    """A depthwise conv between two dense 1x1 convs merges tap by tap, into the
+    kernel that composing a pair at a time gives, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(c_in=st.integers(1, 6), c_out=st.integers(1, 6),
+           expand_ratio=st.sampled_from([1, 2, 3.5, 6]), k=st.sampled_from([3, 5]),
+           stride=st.sampled_from([1, 2]), biased=st.booleans(), residual=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_matches_the_pairwise_composition_bit_for_bit(self, c_in, c_out, expand_ratio,
+                                                          k, stride, biased, residual, seed):
+        residual = residual and stride == 1
+        c_out = c_in if residual else c_out
+        chain = irb_chain(np.random.default_rng(seed), c_in, c_out, expand_ratio, k, stride,
+                          biased)
+        merged = merge_chain(chain, residual, (1, c_in, 11, 11))
+        want = _pairwise(chain, residual)
+        assert (merged.kernel_h, merged.stride, merged.padding) == \
+            (want.kernel_h, want.stride, want.padding) == (k, stride, (k - 1) // 2)
+        np.testing.assert_array_equal(merged.weights, want.weights)
+
+    def test_takes_no_pairwise_composition(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(merge_module, "compose_convs",
+                            lambda *args: calls.append(args) or compose_convs(*args))
+        merge_chain(irb_chain(rng, 4, 5, 6, 3, 2, biased=True), False, (1, 4, 9, 9))
+        assert calls == []
+
+    def test_a_pool_between_1x1_convs_merges_tap_by_tap(self, rng):
+        chain = [("pw1", random_conv(rng, 4, 6, 1, padding=0)), ("pool", AvgPool(2, 2)),
+                 ("pw2", random_conv(rng, 6, 3, 1, padding=0))]
+        merged = merge_chain(chain, False, (1, 4, 8, 8))
+        pool = pool_conv(AvgPool(2, 2), 6)
+        want = compose_convs(compose_convs(chain[0][1], pool), chain[2][1])
+        np.testing.assert_array_equal(merged.weights, want.weights)
+        x = Tensor.of(rng.standard_normal((2, 4, 8, 8)))
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-12
+
+    # each differs from the tap-by-tap shape in one place, so merges a pair at a time
+    @pytest.mark.parametrize("make", [
+        lambda rng: [("pw1", random_conv(rng, 4, 6, 1, stride=2, padding=0)),
+                     ("dw", random_conv(rng, 6, 6, 3, groups=6)),
+                     ("pw2", random_conv(rng, 6, 5, 1, padding=0))],
+        lambda rng: [("pw1", random_conv(rng, 4, 6, 1, padding=0)),
+                     ("dw", random_conv(rng, 6, 6, 3, groups=6)),
+                     ("pw2", random_conv(rng, 6, 4, 1, padding=0, groups=2))],
+        lambda rng: [("pw1", random_conv(rng, 4, 6, 1, padding=0)),
+                     ("dw", random_conv(rng, 6, 6, 3, groups=6)),
+                     ("pw2", random_conv(rng, 6, 5, 3, padding=0))],
+        lambda rng: [("pw1", random_conv(rng, 4, 6, 1, padding=0)),
+                     ("dw", random_conv(rng, 6, 6, 3, groups=6))],
+    ], ids=["strided-pw1", "grouped-pw2", "3x3-after-dw", "no-pw2"])
+    def test_other_shapes_compose_a_pair_at_a_time(self, rng, monkeypatch, make):
+        calls = []
+        monkeypatch.setattr(merge_module, "compose_convs",
+                            lambda *args: calls.append(args) or compose_convs(*args))
+        chain = make(rng)
+        x = Tensor.of(rng.standard_normal((2, 4, 10, 10)))
+        merged = merge_chain(chain, False, x.dims)
+        assert len(calls) == len(chain) - 1
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-10
 
 
 class TestShrinkGraph:
