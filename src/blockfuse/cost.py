@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ConvLayer, Linear, layer_arrays
 from .errors import ConfigError, GraphError
-from .graph import BlockAnnotation, LatencyTable, NetGraph, validate_graph
+from .graph import BlockAnnotation, LatencyTable, NetGraph, block_geometry, validate_graph
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
         flops = 0
         weights = 0
         peak = 0
-        residual = _numel(in_dims_of[block.node_ids[0]]) if block.has_residual else 0
+        residual = _numel(in_dims_of[block.node_ids[0]]) \
+            if block_geometry(index, block)[2] else 0
         for nid in block.node_ids:
             layer = index[nid].layer
             flops += node_flops(layer, shapes[nid])
@@ -120,8 +121,8 @@ def cost_report(graph: NetGraph, precision_bits: int = 16,
 
 @dataclass(frozen=True)
 class DenseReplacement:
-    """FLOPs-matched dense stand-in for a block: same kernel/stride as the
-    block's second conv, channels scaled so FLOPs match the whole block."""
+    """FLOPs-matched dense stand-in for a block: the kernel/stride the block's
+    convs compose to, channels scaled so FLOPs match the whole block."""
 
     kernel: int
     stride: int
@@ -147,15 +148,13 @@ def flops_matched_dense(graph: NetGraph, block: BlockAnnotation) -> DenseReplace
              if isinstance(index[nid].layer, ConvLayer)]
     if not convs:
         raise GraphError(f"block {block.block_id} contains no convolution")
-    c_in = convs[0].c_in
-    c_out = convs[-1].c_out
-    k = block.dw_kernel
-    s = block.stride
+    c_in, c_out = convs[0].c_in, convs[-1].c_out
+    k, s, _ = block_geometry(index, block)
     _, _, h, w = in_dims
     # output resolution of a same-padded k x k conv at the block stride
     oh = (h + 2 * ((k - 1) // 2) - k) // s + 1
     ow = (w + 2 * ((k - 1) // 2) - k) // s + 1
-    target = block_flops(graph, block)
+    target = sum(node_flops(index[nid].layer, shapes[nid]) for nid in block.node_ids)
     if target == 0:
         raise GraphError(f"block {block.block_id} has zero FLOPs")
     base = oh * ow * k * k * c_in * c_out

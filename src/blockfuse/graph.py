@@ -10,6 +10,7 @@ from .core import (
     Activation,
     ActivationKind,
     Add,
+    AvgPool,
     BatchNormLayer,
     ConvLayer,
     Layer,
@@ -29,15 +30,12 @@ class Node:
 
 @dataclass(frozen=True)
 class BlockAnnotation:
-    """One inverted-residual (or plain-conv) block; the unit of masking and merging."""
+    """One inverted-residual (or plain-conv) block, the unit of masking and merging: its
+    nodes and activations. Its kernel, stride and skip are its nodes' (`block_geometry`)."""
 
     block_id: int
     kind: str  # "inverted_residual" | "plain_conv"
     node_ids: Tuple[str, ...]
-    expand_ratio: float
-    dw_kernel: int
-    stride: int
-    has_residual: bool
     act_node_ids: Tuple[str, ...]  # exactly 0 or 2 ids; the two share one mask slot
 
 
@@ -111,11 +109,21 @@ def irb(prefix: str, inputs: Tuple[str, ...], c_in: int, c_out: int,
                           (nodes[-1].node_id,) if nodes else tuple(inputs)))
     if residual:
         nodes.append(Node(f"{prefix}_add", Add(), (nodes[-1].node_id,) + tuple(inputs)))
-    annotation = BlockAnnotation(
-        block_id, "inverted_residual", tuple(n.node_id for n in nodes),
-        float(expand_ratio), dw_kernel, stride, residual,
-        (f"{prefix}_act1", f"{prefix}_act2"))
-    return nodes, annotation
+    return nodes, BlockAnnotation(block_id, "inverted_residual", tuple(n.node_id for n in nodes),
+                                  (f"{prefix}_act1", f"{prefix}_act2"))
+
+
+def block_geometry(index: Dict[str, Node], block: BlockAnnotation) -> Tuple[int, int, bool]:
+    """(kernel, stride, has_residual): what the block's convs and pools compose to in
+    `merge.merge_chain` (k = (k2 - 1) * s1 + k1, s = s1 * s2), and if it ends in an Add."""
+    k, s = 1, 1
+    for nid in block.node_ids:
+        layer = index[nid].layer
+        if isinstance(layer, ConvLayer):
+            k, s = (layer.kernel_h - 1) * s + k, s * layer.stride
+        elif isinstance(layer, AvgPool):
+            k, s = (layer.kernel - 1) * s + k, s * layer.stride
+    return k, s, isinstance(index[block.node_ids[-1]].layer, Add)
 
 
 def splice(graph: NetGraph, span: Tuple[str, ...], new_nodes: List[Node]) -> NetGraph:
@@ -196,10 +204,10 @@ def _check_block(block: BlockAnnotation, index: Dict[str, Node],
                  consumers: Dict[str, List[str]], nested_ids: set) -> None:
     bid = block.block_id
     members = set(block.node_ids)
-    chain = [nid for nid in block.node_ids if not isinstance(index[nid].layer, Add)]
-    add_ids = [nid for nid in block.node_ids if isinstance(index[nid].layer, Add)]
-    if len(add_ids) > 1:
-        raise GraphError(f"block {bid}: more than one Add node")
+    residual = block_geometry(index, block)[2]
+    chain = block.node_ids[:-1] if residual else block.node_ids
+    if any(isinstance(index[nid].layer, Add) for nid in chain):
+        raise GraphError(f"block {bid}: an Add before its last node")
     if not chain:
         raise GraphError(f"block {bid}: no node besides its Add")
     # single-entry single-exit chain; `validate_graph` gave the entry one input or none
@@ -213,18 +221,10 @@ def _check_block(block: BlockAnnotation, index: Dict[str, Node],
             raise GraphError(
                 f"block {bid}: interior node {nid!r} consumed outside the block"
             )
-    if add_ids:
-        add_node = index[add_ids[0]]
+    if residual:
         src = entry.input_ids[0] if entry.input_ids else None
-        expected = {chain[-1], src}
-        if set(add_node.input_ids) != expected:
-            raise GraphError(
-                f"block {bid}: Add must join block entry input and chain exit"
-            )
-        if not block.has_residual:
-            raise GraphError(f"block {bid}: Add present but has_residual is false")
-    elif block.has_residual:
-        raise GraphError(f"block {bid}: has_residual set but no Add node")
+        if set(index[block.node_ids[-1]].input_ids) != {chain[-1], src}:
+            raise GraphError(f"block {bid}: Add must join block entry input and chain exit")
     if len(block.act_node_ids) not in (0, 2):
         raise GraphError(f"block {bid}: act_node_ids must have 0 or 2 entries")
     for aid in block.act_node_ids:
@@ -237,7 +237,7 @@ def _check_block(block: BlockAnnotation, index: Dict[str, Node],
                 f"block {bid}: node sequence does not match PW-BN-Act-DW-BN-Act-PW-BN"
             )
         pw1, dw, pw2 = (index[chain[i]].layer for i in (0, 3, 6))
-        if block.has_residual and (block.stride != 1 or pw1.c_in != pw2.c_out):
+        if residual and (dw.stride != 1 or pw1.c_in != pw2.c_out):
             raise GraphError(
                 f"block {bid}: residual requires stride 1 and equal in/out channels"
             )

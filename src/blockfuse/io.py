@@ -34,9 +34,10 @@ from .core import (
     layer_arrays,
 )
 from .errors import FormatError, GraphError
-from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, validate_graph
+from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, block_geometry, validate_graph
 
-GRAPH_VERSION = 2  # 2 adds conv "bias_hw"; version 1 files still load
+GRAPH_VERSION = 3  # 2 added conv "bias_hw"; 3 writes a block without the keys below
+_DERIVED_KEYS = (("dw_kernel", int), ("stride", int), ("has_residual", bool))
 WEIGHTS_MAGIC = b"DSWT"
 WEIGHTS_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -137,11 +138,8 @@ def graph_to_json(graph: NetGraph) -> dict:
         op, params = _layer_to_json(n.layer)
         nodes.append({"id": n.node_id, "op": op, "params": params,
                       "inputs": list(n.input_ids)})
-    blocks = [{
-        "block_id": b.block_id, "kind": b.kind, "node_ids": list(b.node_ids),
-        "expand_ratio": b.expand_ratio, "dw_kernel": b.dw_kernel, "stride": b.stride,
-        "has_residual": b.has_residual, "act_node_ids": list(b.act_node_ids),
-    } for b in graph.blocks]
+    blocks = [{"block_id": b.block_id, "kind": b.kind, "node_ids": list(b.node_ids),
+               "act_node_ids": list(b.act_node_ids)} for b in graph.blocks]
     return {"version": GRAPH_VERSION, "input_dims": list(graph.input_dims),
             "nodes": nodes, "blocks": blocks, "metadata": dict(graph.metadata)}
 
@@ -162,12 +160,14 @@ def _node_ids(value, path: str) -> tuple:
 
 
 def graph_from_json(doc: dict) -> NetGraph:
+    """The graph of a graph.json document, validated. A v1/v2 block record also holds
+    `expand_ratio` and the `_DERIVED_KEYS`, which must equal the block's geometry."""
     if not isinstance(doc, dict):
         raise FormatError("$: graph document must be a JSON object")
     # the type check keeps JSON true and 1.0 from passing as version 1
-    if type(doc.get("version")) is not int or doc["version"] not in (1, GRAPH_VERSION):
-        raise FormatError(f"$.version: expected 1 or {GRAPH_VERSION}, "
-                          f"got {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, 2, GRAPH_VERSION):
+        raise FormatError(f"$.version: expected 1, 2 or {GRAPH_VERSION}, got {version!r}")
     input_dims = tuple(_typed(v, int, f"$.input_dims[{i}]") for i, v in
                        enumerate(_typed(doc.get("input_dims"), list, "$.input_dims")))
     if len(input_dims) != 4 or min(input_dims) < 1:
@@ -182,30 +182,37 @@ def graph_from_json(doc: dict) -> NetGraph:
                               _node_ids(rec.get("inputs", []), f"{path}.inputs")))
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc}") from exc
-    blocks = []
+    blocks, stored = [], []
     for i, rec in enumerate(_typed(doc.get("blocks", []), list, "$.blocks")):
         path = f"$.blocks[{i}]"
         try:
             if rec["kind"] not in ("inverted_residual", "plain_conv"):
                 raise FormatError(f"{path}.kind: expected 'inverted_residual' or "
                                   f"'plain_conv', got {rec['kind']!r}")
-            if type(rec["expand_ratio"]) not in (int, float):  # not a bool or a string
-                raise FormatError(f"{path}.expand_ratio: expected a number, "
-                                  f"got {type(rec['expand_ratio']).__name__}")
             blocks.append(BlockAnnotation(
                 _typed(rec["block_id"], int, f"{path}.block_id"), rec["kind"],
                 _node_ids(rec["node_ids"], f"{path}.node_ids"),
-                float(rec["expand_ratio"]),
-                _typed(rec["dw_kernel"], int, f"{path}.dw_kernel"),
-                _typed(rec["stride"], int, f"{path}.stride"),
-                _typed(rec["has_residual"], bool, f"{path}.has_residual"),
                 _node_ids(rec["act_node_ids"], f"{path}.act_node_ids"),
             ))
+            if version < 3:  # v1/v2 also store an expand ratio and what the nodes define
+                if type(rec["expand_ratio"]) not in (int, float):  # not a bool or a string
+                    raise FormatError(f"{path}.expand_ratio: expected a number, "
+                                      f"got {type(rec['expand_ratio']).__name__}")
+                stored.append((blocks[-1], path, [_typed(rec[key], kind, f"{path}.{key}")
+                                                  for key, kind in _DERIVED_KEYS]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     blocks.sort(key=lambda b: b.block_id)  # the records may come in any order
-    return NetGraph(tuple(nodes), input_dims, tuple(blocks),
-                    dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
+    graph = NetGraph(tuple(nodes), input_dims, tuple(blocks),
+                     dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
+    validate_graph(graph)
+    index = graph.node_index
+    for block, path, values in stored:
+        for (key, _), value, derived in zip(_DERIVED_KEYS, values,
+                                            block_geometry(index, block)):
+            if value != derived:
+                raise FormatError(f"{path}.{key}: {value!r} disagrees with the block's nodes")
+    return graph
 
 
 def save_graph(graph: NetGraph, path) -> None:
@@ -220,9 +227,7 @@ def load_graph(path) -> NetGraph:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    graph = graph_from_json(doc)
-    validate_graph(graph)
-    return graph
+    return graph_from_json(doc)
 
 
 def save_weights(table: Dict[str, np.ndarray], path) -> None:

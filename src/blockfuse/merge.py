@@ -51,6 +51,7 @@ from .graph import (
     NetGraph,
     Node,
     apply_mask_vector,
+    block_geometry,
     execute_graph,
     merged_blocks,
     reindex_blocks,
@@ -247,12 +248,7 @@ def merge_block(graph: NetGraph, block: BlockAnnotation, in_dims) -> ConvLayer:
     index = graph.node_index
     chain = [(nid, index[nid].layer) for nid in block.node_ids
              if not isinstance(index[nid].layer, Add)]
-    merged = merge_chain(chain, block.has_residual, in_dims)
-    if block.kind == "inverted_residual" and \
-            (merged.kernel_h, merged.stride) != (block.dw_kernel, block.stride):
-        raise MergeError(f"block {block.block_id}: merged kernel/stride {merged.kernel_h}/"
-                         f"{merged.stride} != dw_kernel/stride {block.dw_kernel}/{block.stride}")
-    return merged
+    return merge_chain(chain, block_geometry(index, block)[2], in_dims)
 
 
 @dataclass(frozen=True)
@@ -270,11 +266,6 @@ class BlockShrinkRecord:
 @dataclass(frozen=True)
 class ShrinkReport:
     records: Tuple[BlockShrinkRecord, ...]
-
-    @property
-    def max_merged_kernel(self) -> int:
-        merged = [r.kernel for r in self.records if r.merged]
-        return max(merged, default=1)
 
     def to_json(self) -> list:
         return [vars(r) for r in self.records]
@@ -301,7 +292,7 @@ def shrink_graph(graph: NetGraph, mask,
         convs = [index[nid].layer for nid in b.node_ids
                  if isinstance(index[nid].layer, ConvLayer)]
         flops = sum(node_flops(index[nid].layer, shapes[nid]) for nid in b.node_ids)
-        records.append(BlockShrinkRecord(b.block_id, False, b.dw_kernel, b.stride,
+        records.append(BlockShrinkRecord(b.block_id, False, *block_geometry(index, b)[:2],
                                          convs[0].c_in, convs[-1].c_out, flops, flops))
     work = graph
     for block in reversed(merged_blocks(graph, mask)):
@@ -327,8 +318,7 @@ def _splice_merged(graph: NetGraph, block: BlockAnnotation, conv: ConvLayer,
                               (conv_id,)))
     work = splice(graph, block.node_ids, new_nodes)
     merged = BlockAnnotation(block.block_id, "plain_conv",
-                             tuple(n.node_id for n in new_nodes), 1.0, conv.kernel_h,
-                             conv.stride, False, ())
+                             tuple(n.node_id for n in new_nodes), ())
     return _put_block(work, merged)
 
 

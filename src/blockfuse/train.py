@@ -23,7 +23,7 @@ from .autodiff import MaskState, backward, forward_masked, forward_untaped
 from .core import ActivationKind, BatchNormLayer
 from .cost import latency_decay_weights
 from .errors import ConfigError, FormatError, GraphError, ShapeError
-from .graph import LatencyTable, NetGraph, merged_blocks
+from .graph import LatencyTable, NetGraph, graph_sink, merged_blocks, validate_graph
 
 MOMENTUM = 0.9
 
@@ -93,6 +93,8 @@ def load_dataset_raw(path) -> Dataset:
         buf = fh.read()
     if buf[:4] != RAW_MAGIC:
         raise FormatError(f"{path}: bad magic; not a raw dataset")
+    if len(buf) < 24:
+        raise FormatError(f"{path}: truncated dataset file")
     version, n, c, h, w = struct.unpack("<IIIII", buf[4:24])
     if version != 1:
         raise FormatError(f"{path}: unsupported dataset version {version}")
@@ -188,6 +190,9 @@ def _train(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
     in `state` train in place; a `teacher` adds the distillation term."""
     if len(dataset[0]) == 0:
         raise GraphError("empty dataset")
+    classes = int(np.prod(validate_graph(graph)[graph_sink(graph).node_id][1:]))
+    if (top := dataset[1].max()) >= classes:
+        raise ShapeError(f"dataset label {top} is out of range for {classes} classes")
     params = dict(params)
     opt = SGD(MOMENTUM)
     # each log line's kept_blocks: the blocks whose activations run, read from the

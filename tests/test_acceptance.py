@@ -9,7 +9,7 @@ from blockfuse.core import ConvLayer, Tensor, execute_layer
 from blockfuse.cost import cost_report, flops_matched_dense
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import MBV2_14_MASKS, mobilenet_v2, toy_irb, vgg_toy
-from blockfuse.graph import LatencyTable, apply_mask_vector, validate_graph
+from blockfuse.graph import LatencyTable, apply_mask_vector, block_geometry, validate_graph
 from blockfuse.merge import (
     compose_convs,
     insert_free_activations,
@@ -269,7 +269,9 @@ def test_criterion_11_memory_footprint(mbv2_14):
     checked = 0
     for block, cost in zip(sorted(mbv2_14.blocks, key=lambda b: b.block_id),
                            before.blocks):
-        if block.expand_ratio > 1 and block.stride == 1 and block.has_residual:
+        pw1 = mbv2_14.node(block.node_ids[0]).layer
+        if pw1.c_out > pw1.c_in and \
+                block_geometry(mbv2_14.node_index, block)[1:] == (1, True):
             checked += 1
             ok = ok and after_by_id[block.block_id].peak_activation_bytes < \
                 cost.peak_activation_bytes

@@ -8,6 +8,9 @@ import pytest
 
 from blockfuse import io
 from blockfuse.cli import build_parser, run
+from blockfuse.train import save_dataset_raw
+
+from conftest import as_version_2
 
 
 def _gen(tmp_path, name="toy-irb-2", seed=0):
@@ -53,6 +56,15 @@ class TestGenFixture:
 
 def _params(doc, node_id):
     return next(n for n in doc["nodes"] if n["id"] == node_id)["params"]
+
+
+def _v2_block(**fields):
+    """A mutation that rewrites a graph document as version 2, then sets `fields`
+    in its first block record."""
+    def mutate(doc):
+        doc.update(as_version_2(doc))
+        doc["blocks"][0].update(fields)
+    return mutate
 
 
 class TestCost:
@@ -508,9 +520,8 @@ class TestErrorHandling:
          "$.input_dims[2]: expected int"),
         (lambda doc: doc["blocks"][1].update(block_id=1.7), "FormatError",
          "$.blocks[1].block_id: expected int"),
-        (lambda doc: doc["blocks"][0].update(dw_kernel="3"), "FormatError",
-         "$.blocks[0].dw_kernel: expected int"),
-        (lambda doc: doc["blocks"][0].update(has_residual="false"), "FormatError",
+        (_v2_block(dw_kernel="3"), "FormatError", "$.blocks[0].dw_kernel: expected int"),
+        (_v2_block(has_residual="false"), "FormatError",
          "$.blocks[0].has_residual: expected bool, got str"),
         (lambda doc: _params(doc, "b0_pw1").update(has_bias="false"), "FormatError",
          ".params.has_bias: expected bool, got str"),
@@ -518,9 +529,9 @@ class TestErrorHandling:
          ".params.has_bias: expected bool, got int"),
         (lambda doc: doc["nodes"].reverse(), "GraphError", "is listed before its input"),
         # these loaded: float() read "3" as 3.0 and true as 1.0, and no kind was checked
-        (lambda doc: doc["blocks"][0].update(expand_ratio="3"), "FormatError",
+        (_v2_block(expand_ratio="3"), "FormatError",
          "$.blocks[0].expand_ratio: expected a number, got str"),
-        (lambda doc: doc["blocks"][0].update(expand_ratio=True), "FormatError",
+        (_v2_block(expand_ratio=True), "FormatError",
          "$.blocks[0].expand_ratio: expected a number, got bool"),
         (lambda doc: doc["blocks"][1].update(kind=64), "FormatError",
          "$.blocks[1].kind: expected 'inverted_residual' or 'plain_conv', got 64"),
@@ -540,6 +551,49 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
         assert where in err["message"]
+
+    @pytest.mark.parametrize("key, value", [("dw_kernel", 5), ("stride", 2),
+                                            ("has_residual", False)])
+    def test_a_v2_block_that_disagrees_with_its_nodes_exits_1(self, tmp_path, capsys,
+                                                               key, value):
+        # `cost` read a 5 over a 3x3 dw without a word, and `shrink` failed late
+        out = _gen(tmp_path)
+        doc = as_version_2(json.loads((out / "graph.json").read_text()))
+        doc["blocks"][0][key] = value
+        (out / "graph.json").write_text(json.dumps(doc))
+        io.save_mask([0, 0], tmp_path / "mask.json")
+        for argv in (["cost", "--graph", str(out)],
+                     ["shrink", "--graph", str(out), "--mask", str(tmp_path / "mask.json"),
+                      "--out", str(tmp_path / "shrunk")],
+                     ["verify", "--before", str(out), "--after", str(out)]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "FormatError",
+                "message": f"$.blocks[0].{key}: {value!r} disagrees with the block's nodes"}
+        assert not (tmp_path / "shrunk").exists()
+
+    @pytest.mark.parametrize("command", ["search", "finetune"])
+    @pytest.mark.parametrize("labels, message", [
+        (None, "data.bin: truncated dataset file"),
+        ([0, 7], "dataset label 7 is out of range for 2 classes"),
+    ], ids=["short-header", "label-7"])
+    def test_a_bad_dataset_exits_1(self, tmp_path, capsys, command, labels, message):
+        out = _gen(tmp_path)
+        data = tmp_path / "data.bin"
+        if labels is None:
+            data.write_bytes(b"BFDS\x01\x00")  # shorter than the 24-byte header
+        else:
+            save_dataset_raw((np.full((2, 3, 8, 8), 0.5), np.array(labels)), data)
+        mask = tmp_path / "mask.json"
+        io.save_mask([0, 1], mask)
+        extra = ["--k", "1"] if command == "search" else ["--mask", str(mask)]
+        capsys.readouterr()
+        assert run([command, "--graph", str(out), "--data", str(data),
+                    "--out", str(tmp_path / "res"), *extra]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].endswith(message)
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("flags", [["--border", "1"], ["--allow-boundary"]])
     def test_removed_verify_flags_exit_2(self, tmp_path, flags):

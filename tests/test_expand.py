@@ -5,7 +5,7 @@ from blockfuse.core import ActivationKind, ConvLayer
 from blockfuse.errors import GraphError
 from blockfuse.expand import expand_for_training
 from blockfuse.fixtures import toy_irb, vgg_toy
-from blockfuse.graph import NetGraph, Node, apply_mask_vector, validate_graph
+from blockfuse.graph import NetGraph, Node, apply_mask_vector, block_geometry, validate_graph
 from blockfuse.merge import shrink_graph, verify_equivalence
 
 
@@ -20,7 +20,8 @@ class TestPlainGraphExpansion:
         assert len(expanded.nodes) == len(g.nodes) + 2 * 8
         for b in expanded.blocks:
             assert b.kind == "inverted_residual"
-            assert b.expand_ratio == 6.0
+            pw1 = expanded.node(b.node_ids[0]).layer
+            assert pw1.c_out == 6 * pw1.c_in
 
     def test_block_ids_in_network_order(self):
         expanded = expand_for_training(vgg_toy(seed=0), seed=1)
@@ -51,7 +52,8 @@ class TestIrbGraphExpansion:
         validate_graph(expanded)
         # blocks 0 and 2 get a nested pointwise block each: 4 + 2 blocks
         assert len(expanded.blocks) == 6
-        nested = [b for b in expanded.blocks if b.dw_kernel == 1]
+        index = expanded.node_index
+        nested = [b for b in expanded.blocks if block_geometry(index, b)[0] == 1]
         assert len(nested) == 2
         # nested blocks replace a single pointwise conv with an 8-node chain
         assert len(expanded.nodes) == len(g.nodes) + 2 * 7
@@ -71,8 +73,9 @@ class TestRoundTrip:
         g = make()
         expanded = expand_for_training(g, seed=3)
         # merge only the new blocks: in a plain graph every block is new, in
-        # an IRB graph the new nested blocks are the pointwise (dw_kernel 1) ones
-        mask = [0 if (not g.blocks or b.dw_kernel == 1) else 1
+        # an IRB graph the new nested blocks are the pointwise (1x1 kernel) ones
+        index = expanded.node_index
+        mask = [0 if (not g.blocks or block_geometry(index, b)[0] == 1) else 1
                 for b in expanded.blocks]
         shrunk, report = shrink_graph(expanded, mask)
         validate_graph(shrunk)

@@ -1,5 +1,7 @@
-"""Fuzz the graph.json reader: `cost` and `verify` on a mutated toy-irb-2 file
-exit 0, or exit 1 with a JSON error on stderr, and never end in a traceback."""
+"""Fuzz the graph.json reader: `cost` and `verify` on a mutated toy-irb-2 file,
+written as version 3 or as version 2 (whose blocks also store `expand_ratio`,
+`dw_kernel`, `stride` and `has_residual`), exit 0, or exit 1 with a JSON error on
+stderr, and never end in a traceback."""
 import contextlib
 import copy
 import io
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfuse.cli import run
+
+from conftest import as_version_2
 
 # every integer is at most 64 (as are those of toy-irb-2), so no mutation asks
 # for a large allocation
@@ -54,10 +58,12 @@ def _mutate(data, doc: dict) -> None:
 
 @pytest.fixture(scope="module")
 def net(tmp_path_factory):
-    """A toy-irb-2 directory (seed 0) and its graph.json document."""
+    """A toy-irb-2 directory (seed 0) and its graph.json document as versions 3
+    and 2."""
     out = tmp_path_factory.mktemp("fuzz") / "net"
     assert run(["gen-fixture", "toy-irb-2", "--seed", "0", "--out", str(out)]) == 0
-    return out, json.loads((out / "graph.json").read_text())
+    doc = json.loads((out / "graph.json").read_text())
+    return out, (doc, as_version_2(doc))
 
 
 def _run(argv) -> None:
@@ -72,8 +78,8 @@ def _run(argv) -> None:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_graph_never_ends_in_a_traceback(net, data):
-    out, base = net
-    doc = copy.deepcopy(base)
+    out, docs = net
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
     for _ in range(data.draw(st.integers(1, 2))):
         _mutate(data, doc)
     (out / "graph.json").write_text(json.dumps(doc))

@@ -32,6 +32,7 @@ from blockfuse.graph import (
     NetGraph,
     Node,
     apply_mask_vector,
+    block_geometry,
     execute_graph,
     graph_sink,
     irb,
@@ -42,7 +43,7 @@ from blockfuse.graph import (
 )
 from blockfuse.merge import shrink_graph
 
-from conftest import identity_conv, irb_graph, random_bn, random_conv
+from conftest import as_version_2, identity_conv, irb_graph, random_bn, random_conv
 
 
 class TestGraphStructure:
@@ -96,8 +97,7 @@ class TestGraphStructure:
         g = irb_graph(rng, 3, 3, 2, 3, 1, residual=False)
         # swap the annotation order so it no longer matches PW-BN-Act-...
         bad_block = BlockAnnotation(0, "inverted_residual",
-                                    tuple(reversed(g.blocks[0].node_ids)),
-                                    2.0, 3, 1, False, ("act1", "act2"))
+                                    tuple(reversed(g.blocks[0].node_ids)), ("act1", "act2"))
         with pytest.raises(GraphError):
             validate_graph(NetGraph(g.nodes, g.input_dims, (bad_block,), {}))
 
@@ -107,13 +107,6 @@ class TestGraphStructure:
         swapped = (replace(g.blocks[0], block_id=1), replace(g.blocks[1], block_id=0))
         with pytest.raises(GraphError, match="out of order"):
             validate_graph(NetGraph(g.nodes, g.input_dims, swapped, {}))
-
-    def test_residual_requires_add_flag_consistency(self, rng):
-        g = irb_graph(rng, 3, 3, 2, 3, 1, residual=True)
-        from dataclasses import replace
-        bad = replace(g.blocks[0], has_residual=False)
-        with pytest.raises(GraphError, match="has_residual"):
-            validate_graph(NetGraph(g.nodes, g.input_dims, (bad,), {}))
 
 
 def _with(g, nodes=(), **fields):
@@ -133,6 +126,11 @@ def _two_adds(rng):
     g = _one_block(rng, True)
     return _with(g, [Node("add2", Add(), ("add", "stem"))],
                  node_ids=g.blocks[0].node_ids + ("add2",))
+
+
+def _add_not_last(rng):
+    g = _one_block(rng, True)
+    return _with(g, node_ids=("add",) + g.blocks[0].node_ids[:-1])
 
 
 def _add_only(rng):
@@ -167,15 +165,14 @@ def _add_of_two_shapes(rng):
 
 class TestValidationRejects:
     @pytest.mark.parametrize("make, match", [
-        pytest.param(_two_adds, "more than one Add", id="two-adds"),
+        pytest.param(_two_adds, "an Add before its last node", id="two-adds"),
+        pytest.param(_add_not_last, "an Add before its last node", id="add-not-last"),
         pytest.param(_add_only, "no node besides its Add", id="add-only"),
         pytest.param(_entry_reads_two, "'pw1': ConvLayer takes 1 input", id="two-inputs"),
         pytest.param(_interior_read_outside, "interior node 'bn1' consumed outside",
                      id="interior-read-outside"),
         pytest.param(_add_skips_entry, "Add must join block entry input and chain exit",
                      id="add-skips-entry"),
-        pytest.param(lambda rng: _with(_one_block(rng, False), has_residual=True),
-                     "has_residual set but no Add", id="residual-without-add"),
         pytest.param(lambda rng: _with(_one_block(rng, False), act_node_ids=("act1",)),
                      "act_node_ids must have 0 or 2 entries", id="one-act-id"),
         pytest.param(lambda rng: _with(_one_block(rng, False),
@@ -183,7 +180,8 @@ class TestValidationRejects:
                      "'bn1' is not an activation", id="act-id-not-an-activation"),
         pytest.param(_pattern_mismatch, "does not match PW-BN-Act-DW-BN-Act-PW-BN",
                      id="pattern"),
-        pytest.param(lambda rng: _with(_one_block(rng, True), stride=2),
+        # on a 1x1 input a stride-2 dw keeps the shape, so only the rule trips
+        pytest.param(lambda rng: irb_graph(rng, 3, 3, 1, 3, 2, True, image_size=1),
                      "residual requires stride 1", id="residual-stride-2"),
         pytest.param(lambda rng: NetGraph((), (1, 3, 5, 5)), "empty graph", id="empty"),
         pytest.param(_add_of_two_shapes, "Add inputs differ", id="add-shapes"),
@@ -309,11 +307,11 @@ class TestSpliceAndIrb:
             assert len(nodes) == 8
         assert block.node_ids == tuple(n.node_id for n in nodes)
         assert block.act_node_ids == ("x_act1", "x_act2")
-        assert (block.kind, block.expand_ratio, block.dw_kernel, block.stride,
-                block.has_residual) == ("inverted_residual", 2.0, 3, 1, residual)
+        assert block.kind == "inverted_residual"
         g = NetGraph((Node("stem", identity_conv(4), ()),) + tuple(nodes),
                      (1, 4, 6, 6), (block,), {})
         validate_graph(g)
+        assert block_geometry(g.node_index, block) == (3, 1, residual)
 
 
 class TestExecuteAndMask:
@@ -578,13 +576,28 @@ class TestGraphJson:
         with pytest.raises(FormatError, match=r"\$\.version"):
             io.graph_from_json(doc)
 
-    def test_version_1_loads_and_3_is_rejected(self):
-        doc = io.graph_to_json(toy_irb(1, seed=0))
-        assert doc["version"] == 2
-        doc["version"] = 1
-        assert io.graph_to_json(io.graph_from_json(doc)) == {**doc, "version": 2}
-        doc["version"] = 3
-        with pytest.raises(FormatError, match=r"\$\.version"):
+    @pytest.mark.parametrize("make", [
+        lambda: toy_irb(2, seed=0), vgg_toy,
+        lambda: expand_for_training(toy_irb(3, seed=0), seed=1),
+        lambda: expand_for_training(vgg_toy(seed=0), seed=1),
+        lambda: shrink_graph(toy_irb(3, seed=0), [0, 1, 0])[0],
+    ], ids=["toy", "vgg", "toy-expanded", "vgg-expanded", "toy-shrunk"])
+    def test_versions_1_and_2_load_to_the_same_graph_and_4_is_rejected(self, make):
+        doc = io.graph_to_json(make())
+        assert doc["version"] == 3
+        assert all(set(rec) == {"block_id", "kind", "node_ids", "act_node_ids"}
+                   for rec in doc["blocks"])
+        for version in (1, 2):
+            old = dict(as_version_2(doc), version=version)
+            assert io.graph_to_json(io.graph_from_json(old)) == doc
+        with pytest.raises(FormatError, match=r"\$\.version: expected 1, 2 or 3, got 4"):
+            io.graph_from_json(dict(doc, version=4))
+
+    @pytest.mark.parametrize("key", ["expand_ratio", "dw_kernel", "stride", "has_residual"])
+    def test_a_v2_block_needs_the_keys_that_v3_dropped(self, key):
+        doc = as_version_2(io.graph_to_json(toy_irb(2, seed=0)))
+        del doc["blocks"][1][key]
+        with pytest.raises(FormatError, match=rf"\$\.blocks\[1\]: '{key}'"):
             io.graph_from_json(doc)
 
     def test_load_allocates_no_weight_placeholders(self, tmp_path):

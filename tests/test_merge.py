@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ import blockfuse.merge as merge_module
 from blockfuse.core import (
     Activation,
     ActivationKind,
+    Add,
     AvgPool,
     ConvLayer,
     Flatten,
@@ -19,7 +19,15 @@ from blockfuse.core import (
     pool_conv,
 )
 from blockfuse.errors import GraphError, MergeError
-from blockfuse.graph import NetGraph, Node, execute_graph, validate_graph
+from blockfuse.expand import expand_for_training
+from blockfuse.graph import (
+    NetGraph,
+    Node,
+    apply_mask_vector,
+    block_geometry,
+    execute_graph,
+    validate_graph,
+)
 from blockfuse.merge import (
     absorb_residual,
     bn_to_conv,
@@ -32,7 +40,7 @@ from blockfuse.merge import (
     shrink_graph,
     verify_equivalence,
 )
-from blockfuse.fixtures import toy_irb
+from blockfuse.fixtures import mobilenet_v2, toy_irb, vgg_toy
 
 from conftest import (conv_oracle, irb_chain, irb_graph, random_bn, random_conv,
                       run_chain)
@@ -373,16 +381,6 @@ class TestMergeBlock:
         after = execute_layer(merged, x).data
         assert _max_err(before, after) <= 1e-10
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("dw_kernel", 5, "merged kernel/stride 3/1 != dw_kernel/stride 5/1"),
-        ("stride", 2, "merged kernel/stride 3/1 != dw_kernel/stride 3/2"),
-    ])
-    def test_an_annotation_that_disagrees_with_the_merged_conv_raises(self, rng, field,
-                                                                       value, message):
-        g = irb_graph(rng, 4, 4, 2, 3, 1, residual=False)
-        with pytest.raises(MergeError, match=message):
-            merge_block(g, replace(g.blocks[0], **{field: value}), g.input_dims)
-
     def test_a_wide_block_never_holds_its_hidden_width_kernel(self):
         # pw1 -> dw alone is a (384, 64, 3, 3) kernel, 1.77 MB; the merged one is a
         # sixth of that, and the tap-by-tap merge peaks at about 1.0 MB. Unbiased BNs
@@ -408,6 +406,31 @@ def _pairwise(chain, residual):
                     for conv, bn in (("pw1", "bn1"), ("dw", "bn2"), ("pw2", "bn3")))
     merged = compose_convs(compose_convs(pw1, dw), pw2)
     return absorb_residual(merged) if residual else merged
+
+
+class TestBlockGeometry:
+    @pytest.mark.parametrize("make", [
+        lambda: toy_irb(3, seed=0), vgg_toy,
+        lambda: mobilenet_v2(1.0, image_size=32), lambda: mobilenet_v2(1.4, image_size=32),
+        lambda: shrink_graph(toy_irb(3, seed=0), [0, 1, 0])[0],
+        lambda: shrink_graph(mobilenet_v2(1.0, image_size=32), [0, 1] * 8 + [0])[0],
+    ], ids=["toy", "vgg", "mbv2", "mbv2-1.4", "toy-shrunk", "mbv2-shrunk"])
+    def test_is_what_the_merged_conv_and_the_nodes_say(self, make):
+        # every block of the fixture and of its expansion (nested blocks included),
+        # merged on its own with all activations off
+        g = make()
+        for net in (g, expand_for_training(g, seed=1)):
+            shapes = validate_graph(net)
+            masked = apply_mask_vector(net, [0] * len(net.blocks))
+            index = masked.node_index
+            for block in masked.blocks:
+                entry = index[block.node_ids[0]]
+                in_dims = shapes[entry.input_ids[0]] if entry.input_ids else net.input_dims
+                conv = merge_block(masked, block, in_dims)
+                kernel, stride, residual = block_geometry(index, block)
+                assert (kernel, stride) == (conv.kernel_h, conv.stride)
+                assert residual == isinstance(index[block.node_ids[-1]].layer, Add) == \
+                    any(isinstance(index[nid].layer, Add) for nid in block.node_ids)
 
 
 class TestTapComposition:
@@ -495,7 +518,7 @@ class TestShrinkGraph:
         names = {n.node_id for n in shrunk.nodes}
         assert "block0_merged" in names and "block1_merged" in names
         assert all(b.kind == "plain_conv" for b in shrunk.blocks)
-        assert report.max_merged_kernel == 3
+        assert max(r.kernel for r in report.records if r.merged) == 3
 
     def test_mask_length_check(self, rng):
         with pytest.raises(GraphError):

@@ -6,17 +6,19 @@ A change that should leave every output the same shows it with one diff:
     python tools/cli_digest.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-The pipeline: gen-fixture of toy-irb-3, vgg-toy and mbv2-1.4 (seed 7); shrink
-of mbv2-1.4 under DS-A and DS-F; expand of vgg-toy; expand of toy-irb-3 (5 blocks,
-1 and 4 nested in 0 and 3), then its shrink under [1,0,1,1,0], which merges the
-two nested blocks, and under [0,0,0,0,0], which merges each nested block with the
-block that holds it; shrink of toy-irb-3 under [0,1,0] with free activations; a
-distilled finetune of toy-irb-3 under that mask with free activations, then its
-shrink and verify; a search of toy-irb-3 for k=1 with a latency table and L1
-decay, so the score update runs; a search of toy-irb-3 for k=0, where every
-block activation is gated 0. Each command runs in its own interpreter with
-`--src` first on PYTHONPATH (default: this checkout's src). Outputs go to a
-temporary directory that is removed afterwards, or to `--out`, which is kept.
+The pipeline: gen-fixture of toy-irb-3, vgg-toy and mbv2-1.4 (seed 7); shrink of
+mbv2-1.4 under DS-A and DS-F, and `cost --out` of the DS-F shrink; expand of
+vgg-toy; expand of toy-irb-3 (5 blocks, 1 and 4 nested in 0 and 3) and its `cost
+--out`, whose peak activations count each block's skip; the expanded toy-irb-3's
+shrink under [1,0,1,1,0], which merges the two nested blocks, and under
+[0,0,0,0,0], which merges each nested block with the block that holds it; shrink
+of toy-irb-3 under [0,1,0] with free activations; a distilled finetune of
+toy-irb-3 under that mask with free activations, then its shrink and verify; a
+search of toy-irb-3 for k=1 with a latency table and L1 decay, so the score update
+runs; a search of toy-irb-3 for k=0, where every block activation is gated 0. Each
+command runs in its own interpreter with `--src` first on PYTHONPATH (default:
+this checkout's src). Outputs go to a temporary directory that is removed
+afterwards, or to `--out`, which is kept.
 """
 from __future__ import annotations
 
@@ -35,8 +37,10 @@ PIPELINE = [
     ["gen-fixture", "mbv2-1.4", "--seed", "7", "--out", "mbv2"],
     ["shrink", "--graph", "mbv2", "--mask", "mbv2/mask_DS-A.json", "--out", "mbv2_DS-A"],
     ["shrink", "--graph", "mbv2", "--mask", "mbv2/mask_DS-F.json", "--out", "mbv2_DS-F"],
+    ["cost", "--graph", "mbv2_DS-F", "--out", "mbv2_DS-F_cost.json"],
     ["expand", "--graph", "vgg", "--out", "vgg_expanded"],
     ["expand", "--graph", "toy", "--out", "toy_expanded"],
+    ["cost", "--graph", "toy_expanded", "--out", "toy_expanded_cost.json"],
     ["shrink", "--graph", "toy_expanded", "--mask", "mask_10110.json",
      "--out", "toy_expanded_shrunk"],
     ["shrink", "--graph", "toy_expanded", "--mask", "mask_00000.json",
