@@ -133,12 +133,6 @@ class DenseReplacement:
     target_flops: int
 
 
-def block_flops(graph: NetGraph, block: BlockAnnotation) -> int:
-    shapes = validate_graph(graph)
-    index = graph.node_index
-    return sum(node_flops(index[nid].layer, shapes[nid]) for nid in block.node_ids)
-
-
 def flops_matched_dense(graph: NetGraph, block: BlockAnnotation) -> DenseReplacement:
     shapes = validate_graph(graph)
     index = graph.node_index

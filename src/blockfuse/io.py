@@ -185,6 +185,7 @@ def graph_from_json(doc: dict) -> NetGraph:
     blocks, stored = [], []
     for i, rec in enumerate(_typed(doc.get("blocks", []), list, "$.blocks")):
         path = f"$.blocks[{i}]"
+        _typed(rec, dict, path)
         try:
             if rec["kind"] not in ("inverted_residual", "plain_conv"):
                 raise FormatError(f"{path}.kind: expected 'inverted_residual' or "
@@ -200,8 +201,8 @@ def graph_from_json(doc: dict) -> NetGraph:
                                       f"got {type(rec['expand_ratio']).__name__}")
                 stored.append((blocks[-1], path, [_typed(rec[key], kind, f"{path}.{key}")
                                                   for key, kind in _DERIVED_KEYS]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        except KeyError as exc:
+            raise FormatError(f"{path}: missing key {exc}") from exc
     blocks.sort(key=lambda b: b.block_id)  # the records may come in any order
     graph = NetGraph(tuple(nodes), input_dims, tuple(blocks),
                      dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
@@ -300,12 +301,15 @@ def load_weights(path, payloads: bool = True) -> Dict[str, np.ndarray]:
                 raise FormatError(f"{name}: unknown dtype code {code}")
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
             dtype = _CODE_DTYPES[code]
-            # math.prod: a Python int, so huge dims cannot wrap around
-            payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name}",
-                           (lambda _: np.empty(dims, dtype)) if payloads else None)
             if name in table:
                 raise FormatError(f"duplicate array name {name!r}")
-            table[name] = _placeholder(dims, dtype) if payload is None else payload
+            # math.prod: a Python int, so huge dims cannot wrap around
+            try:  # numpy refuses dims whose nonzero entries multiply past its limit
+                payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name}",
+                               (lambda _: np.empty(dims, dtype)) if payloads else None)
+                table[name] = _placeholder(dims, dtype) if payload is None else payload
+            except ValueError as exc:
+                raise FormatError(f"{name}: dims {list(dims)} make no array: {exc}") from exc
     if left:
         raise FormatError(f"{left} trailing bytes after last record")
     return table

@@ -8,22 +8,21 @@ constant, a (c_out, oh, ow) bias map otherwise (a bias or BN shift ahead of
 a zero-padded conv changes the border). Merges are therefore exact at every
 output position whatever the biases, BN shifts and running means.
 
-Fold order: each BN folds into the conv right before it while that kernel is
-small, and only then does the chain compose. Every layer composes as a conv:
-a BN with no conv right before it as the depthwise 1x1 conv of its scale
-(`bn_to_conv`), an average pool as the depthwise conv with every tap 1/k^2
-(`core.pool_conv`).
+Fold order: each BN folds into the conv before it while that kernel is small,
+and only then does the chain compose. Every layer composes as a conv: a BN that
+opens the chain as the depthwise 1x1 conv of its scale (`bn_to_conv`), an
+average pool as the depthwise conv with every tap 1/k^2 (`core.pool_conv`).
 
-Composition of two convs (cross-correlation orientation, stride-aware):
-merged kernel size d = (d2 - 1) * s1 + d1, stride s1 * s2, padding
-p1 + s1 * p2, with second-kernel taps spaced s1 apart in the merged kernel.
-A depthwise conv between two dense 1x1 convs (an IRB's pw1 -> dw -> pw2)
-composes with both tap by tap into the merged kernel, tap t = w2 @ (dw_t * w1),
-so the hidden-width kernel of dw o pw1 is never held. Any other depthwise
-second conv composes directly, as a per-output-channel scale of the first
-kernel at each tap. The dense lift is only for the chain's first conv and for
-general grouped convs. L is inexact only where a zero-padded conv follows a
-kernel wider than 1x1, and `merge_chain` raises on such a chain.
+Composition (cross-correlation orientation, stride-aware): tap (p, q) of the
+chain's conv i lands at (p, q) * s_0 ... s_{i-1} in the merged kernel, so two
+convs merge to size (d2 - 1) * s1 + d1, stride s1 * s2 and padding p1 + s1 * p2.
+Merged tap u is the sum, over every way to reach u with one tap per conv, of the
+product of those taps: a dense tap multiplies as a matrix, a depthwise tap scales
+rows, and only a general grouped conv is lifted to dense. One routine (`_compose`)
+builds every kernel this way, path by path through one scratch per inner conv, so
+no hidden-width kernel (an IRB's dw o pw1) is ever held. L is inexact only where a
+zero-padded conv follows a kernel wider than 1x1, and `merge_chain` raises on such
+a chain.
 """
 from __future__ import annotations
 
@@ -96,8 +95,7 @@ def compose_convs(first: ConvLayer, second: ConvLayer) -> ConvLayer:
     `first` must be dense; `second` may be dense or depthwise. Biases are
     ignored. The result is exact at every position unless `second` is padded
     and `first` is wider than 1x1; then only the interior agrees."""
-    depthwise = second.is_depthwise
-    if first.groups != 1 or (second.groups != 1 and not depthwise):
+    if first.groups != 1 or (second.groups != 1 and not second.is_depthwise):
         raise MergeError("compose_convs requires a dense first conv and a dense or "
                          "depthwise second conv; lift grouped convs first")
     if first.c_out != second.c_in:
@@ -106,44 +104,54 @@ def compose_convs(first: ConvLayer, second: ConvLayer) -> ConvLayer:
         )
     if first.kernel_h != first.kernel_w or second.kernel_h != second.kernel_w:
         raise MergeError("compose_convs supports square kernels only")
-    d1, d2, s1 = first.kernel_h, second.kernel_h, first.stride
-    d = (d2 - 1) * s1 + d1
-    w1, w2 = first.weights, second.weights
-    merged = np.zeros((second.c_out, first.c_in, d, d))
-    if d2 == 1 and not depthwise:  # one matrix product per tap, as `_compose_taps` runs
-        taps = np.ascontiguousarray(w1.transpose(2, 3, 0, 1))
-        for p, q in np.ndindex(d1, d1):
-            np.matmul(w2[:, :, 0, 0], taps[p, q], out=merged[:, :, p, q])
-    elif d1 == 1 and depthwise:  # taps s1 apart: one broadcast product
-        np.multiply(w2, w1, out=merged[:, :, ::s1, ::s1])
-    else:  # tap by tap; taps overlap where the first kernel is wider than 1x1
-        for p, q in np.ndindex(d2, d2):
-            if depthwise:
-                tap = w2[:, 0, p, q][:, None, None, None] * w1
-            else:
-                tap = np.tensordot(w2[:, :, p, q], w1, axes=(1, 0))
-            merged[:, :, p * s1 : p * s1 + d1, q * s1 : q * s1 + d1] += tap
-    return ConvLayer(d, d, s1 * second.stride, first.padding + s1 * second.padding,
-                     1, first.c_in, second.c_out, merged)
+    return _compose([first, second])
 
 
-def _compose_taps(first: ConvLayer, dw: ConvLayer, second) -> Optional[ConvLayer]:
-    """`compose_convs(compose_convs(first, dw), second)` bit for bit, one tap at a time
-    through one (hidden, c_in) scratch; None for any other shape than the one below."""
-    plain_1x1 = ((1, 1), 0, 1)  # the kernel, padding and groups of an unpadded dense 1x1
-    if not (isinstance(second, ConvLayer) and dw.is_depthwise and dw.kernel_h == dw.kernel_w
-            and first.stride == 1 and first.c_out == dw.c_in == second.c_in
-            and (first.weights.shape[2:], first.padding, first.groups) == plain_1x1
-            == (second.weights.shape[2:], second.padding, second.groups)):
-        return None
-    second, k = lift_to_dense(second), dw.kernel_h
-    w1, w2 = first.weights[:, :, 0, 0], second.weights[:, :, 0, 0]
-    merged, scratch = np.empty((second.c_out, first.c_in, k, k)), np.empty(w1.shape)
-    for p, q in np.ndindex(k, k):
-        np.matmul(w2, np.multiply(dw.weights[:, 0, p, q, None], w1, out=scratch),
-                  out=merged[:, :, p, q])
-    return ConvLayer(k, k, dw.stride * second.stride, dw.padding, 1, first.c_in,
-                     second.c_out, merged)
+def _compose(convs: List[ConvLayer]) -> ConvLayer:
+    """The bias-free dense conv whose kernel is the chain's. Tap (p, q) of conv i
+    lands at (p, q) * s_0 ... s_{i-1}, and merged tap u is the sum, over every way
+    to reach u with one tap per conv, of the product of those taps (`_add_paths`)."""
+    steps = np.cumprod([1] + [conv.stride for conv in convs]).tolist()
+    size = [1 + sum(s * (conv.weights.shape[axis] - 1) for s, conv in zip(steps, convs))
+            for axis in (2, 3)]
+    levels = []  # per conv, each tap with its offset in the merged kernel
+    for s, conv in zip(steps, convs):  # a dense tap contiguous, as BLAS takes it
+        taps = conv.weights[:, 0].transpose(1, 2, 0) if conv.is_depthwise else \
+            np.ascontiguousarray((conv if conv.groups == 1 else lift_to_dense(conv))
+                                 .weights.transpose(2, 3, 0, 1))
+        levels.append([((s * p, s * q), taps[p, q]) for p, q in np.ndindex(taps.shape[:2])])
+    c_in, c_out = convs[0].c_in, convs[-1].c_out
+    merged, written = np.empty((c_out, c_in, *size)), np.zeros(size, bool)
+    scratch = [None] + [np.empty((conv.c_out, c_in)) for conv in convs[1:-1]]
+    _add_paths(levels, scratch, merged.transpose(2, 3, 0, 1), written)
+    merged[:, :, ~written] = 0  # taps that no path reaches
+    return ConvLayer(*size, steps[-1], sum(s * conv.padding for s, conv in zip(steps, convs)),
+                     1, c_in, c_out, merged)
+
+
+def _add_paths(levels, scratch, taps, written, i=0, prod=None, at=(0, 0)) -> None:
+    """Add into the merged `taps` every path on from conv i, whose earlier taps made
+    `prod` (None for none) and reached `at`. Paths share their common prefix's product
+    in its conv's scratch, and the first path to a merged tap writes straight into it."""
+    for (dp, dq), tap in levels[i]:
+        u = (at[0] + dp, at[1] + dq)
+        if i + 1 < len(levels):
+            _add_paths(levels, scratch, taps, written, i + 1, _times(tap, prod, scratch[i]), u)
+        elif written[u]:
+            taps[u] += _times(tap, prod)
+        else:  # `out=` writes a product there; the first conv's tap is copied in
+            taps[u] = _times(tap, prod, taps[u])
+            written[u] = True
+
+
+def _times(tap: np.ndarray, prod: Optional[np.ndarray], out=None) -> np.ndarray:
+    """`tap @ prod` for a dense tap (a matrix) or a depthwise one (a diagonal, which
+    scales rows); a `prod` of None is the identity, and then `out` is not written."""
+    if prod is None:
+        return tap if tap.ndim == 2 else np.diag(tap)
+    if tap.ndim == 2:
+        return np.matmul(tap, prod, out=out)
+    return np.multiply(tap[:, None], prod, out=out)
 
 
 def absorb_residual(conv: ConvLayer) -> ConvLayer:
@@ -199,41 +207,33 @@ def merge_chain(layers: List[Tuple[str, object]], has_residual: bool,
                  if isinstance(layer, Activation) and layer.kind != ActivationKind.IDENTITY]
     if live_acts:
         raise MergeError(f"chain is not mergeable: activations still present at {live_acts}")
-    # each BN folds into the conv right before it while that kernel is small
-    linear: List[Tuple[str, object]] = []
+    # each BN folds into the conv before it while that kernel is small; a BN that
+    # opens the chain and a pool compose as the depthwise convs they are
+    convs: List[ConvLayer] = []
     for nid, layer in layers:
-        if isinstance(layer, BatchNormLayer) and linear and \
-                isinstance(linear[-1][1], ConvLayer):
-            linear[-1] = (linear[-1][0], fold_bn_into_conv(linear[-1][1], layer))
-        elif not isinstance(layer, Activation):
-            linear.append((nid, layer))
-    # the accumulated conv's kernel is L; the biases it picks up along the way
-    # are dropped for f(0) at the end
-    acc: Optional[ConvLayer] = None
-    while linear:
-        nid, layer = linear.pop(0)
-        if isinstance(layer, BatchNormLayer):  # no conv right before it
+        if isinstance(layer, BatchNormLayer) and convs:
+            convs[-1] = fold_bn_into_conv(convs[-1], layer)
+            continue
+        if isinstance(layer, BatchNormLayer):
             conv = bn_to_conv(layer)
         elif isinstance(layer, AvgPool):
-            conv = pool_conv(layer, in_dims[1] if acc is None else acc.c_out)
+            conv = pool_conv(layer, convs[-1].c_out if convs else in_dims[1])
         elif isinstance(layer, ConvLayer):
             conv = layer
+        elif isinstance(layer, Activation):
+            continue
         else:
             raise MergeError(f"layer {type(layer).__name__} at {nid!r} is not linear")
-        # compose_convs takes a dense first conv and a dense or depthwise second
-        nxt = conv if acc is not None and conv.is_depthwise else lift_to_dense(conv)
-        if acc is None:
-            acc = nxt
-        elif nxt.padding and acc.kernel_h > 1:
-            raise MergeError(f"padded conv at {nid!r} follows a {acc.kernel_h}x"
-                             f"{acc.kernel_w} kernel: no single conv is exact at the border")
-        elif linear and (tapped := _compose_taps(acc, nxt, linear[0][1])):
-            acc = tapped
-            del linear[0]  # the 1x1 conv composed in
-        else:
-            acc = compose_convs(acc, nxt)
-    if acc is None:
+        if conv.padding and any(max(c.kernel_h, c.kernel_w) > 1 for c in convs):
+            raise MergeError(f"padded conv at {nid!r} follows a kernel wider than 1x1: "
+                             "no single conv is exact at the border")
+        convs.append(conv)
+    if not convs:
         raise MergeError("empty chain")
+    # the merged kernel is L, and the biases it drops are f(0), added back at the end;
+    # the folded convs go before the zero-input run
+    acc = _compose(convs)
+    del convs
     if has_residual:
         acc = absorb_residual(acc)
     bias = _zero_response(layers, in_dims)

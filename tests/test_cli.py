@@ -158,6 +158,13 @@ def _non_utf8_name(raw: bytes) -> bytes:
     return raw[:14] + b"\xff" + raw[15:]  # the first byte of the first record's name
 
 
+def _zero_beside_huge_dims(raw: bytes) -> bytes:
+    """One more record, named "z", whose dims are 0 and three times 2**32 - 1."""
+    count = struct.unpack_from("<I", raw, 8)[0]
+    return raw[:8] + struct.pack("<I", count + 1) + raw[12:] + \
+        struct.pack("<H1sBB4I", 1, b"z", 1, 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+
+
 class TestCostWeightsChecks:
     """`cost` skips the weight payloads but keeps every check that `shrink`
     makes on the file's format and shapes."""
@@ -175,8 +182,9 @@ class TestCostWeightsChecks:
         (lambda t: t.update({"b0_pw1.weight": np.zeros((1, 2, 1, 1))}), None,
          "GraphError", "b0_pw1.weight"),
         (None, _non_utf8_name, "FormatError", "record 0: name is not UTF-8"),
+        (None, _zero_beside_huge_dims, "FormatError", "z: dims [0, 4294967295, "),
     ], ids=["bad-magic", "unknown-dtype", "truncated-payload", "duplicate-name",
-            "trailing-bytes", "wrong-shape", "non-utf8-name"])
+            "trailing-bytes", "wrong-shape", "non-utf8-name", "zero-beside-huge-dims"])
     def test_malformed_weights_fail_cost_as_they_fail_shrink(
             self, tmp_path, capsys, edit_table, edit_bytes, error, where):
         out = _gen(tmp_path)

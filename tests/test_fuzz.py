@@ -1,12 +1,15 @@
-"""Fuzz the graph.json reader: `cost` and `verify` on a mutated toy-irb-2 file,
-written as version 3 or as version 2 (whose blocks also store `expand_ratio`,
-`dw_kernel`, `stride` and `has_residual`), exit 0, or exit 1 with a JSON error on
-stderr, and never end in a traceback."""
+"""Fuzz the file readers: `cost` and `verify` on a toy-irb-2 directory whose
+graph.json is mutated, written as version 3 or as version 2 (whose blocks also
+store `expand_ratio`, `dw_kernel`, `stride` and `has_residual`), or whose
+weights.dswt has bytes flipped, cut off or inserted, exit 0, or exit 1 with a JSON
+error on stderr, and never end in a traceback."""
 import contextlib
 import copy
 import io
 import json
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,5 +86,49 @@ def test_a_mutated_graph_never_ends_in_a_traceback(net, data):
     for _ in range(data.draw(st.integers(1, 2))):
         _mutate(data, doc)
     (out / "graph.json").write_text(json.dumps(doc))
+    _run(["cost", "--graph", str(out)])
+    _run(["verify", "--before", str(out), "--after", str(out), "--samples", "1"])
+
+
+def _header_bytes(raw: bytes) -> list:
+    """The offsets of every byte of a DSWT file that is not payload."""
+    offsets, at = list(range(12)), 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        name_len = struct.unpack_from("<H", raw, at)[0]
+        code, ndim = struct.unpack_from("<BB", raw, at + 2 + name_len)
+        end = at + 4 + name_len + 4 * ndim
+        offsets.extend(range(at, end))
+        dims = struct.unpack_from(f"<{ndim}I", raw, end - 4 * ndim)
+        at = end + (4, 8)[code] * int(np.prod(dims))
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def weights_net(tmp_path_factory):
+    """A toy-irb-2 directory (seed 0), the bytes of its weights.dswt and the
+    offsets of their headers."""
+    out = tmp_path_factory.mktemp("fuzz_weights") / "net"
+    assert run(["gen-fixture", "toy-irb-2", "--seed", "0", "--out", str(out)]) == 0
+    raw = (out / "weights.dswt").read_bytes()
+    return out, raw, _header_bytes(raw)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_weights_file_never_ends_in_a_traceback(weights_net, data):
+    out, raw, headers = weights_net
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"] if raw else ["insert"]))
+        # half the time at a header byte, which decides how the rest is read
+        spots = [h for h in headers if h < len(raw)]
+        at = data.draw(st.sampled_from(spots) if spots and data.draw(st.booleans())
+                       else st.integers(0, max(len(raw) - 1, 0)))
+        if kind == "flip":
+            raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        elif kind == "truncate":
+            raw = raw[:at]
+        else:
+            raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=4)) + raw[at:]
+    (out / "weights.dswt").write_bytes(raw)
     _run(["cost", "--graph", str(out)])
     _run(["verify", "--before", str(out), "--after", str(out), "--samples", "1"])

@@ -597,7 +597,7 @@ class TestGraphJson:
     def test_a_v2_block_needs_the_keys_that_v3_dropped(self, key):
         doc = as_version_2(io.graph_to_json(toy_irb(2, seed=0)))
         del doc["blocks"][1][key]
-        with pytest.raises(FormatError, match=rf"\$\.blocks\[1\]: '{key}'"):
+        with pytest.raises(FormatError, match=rf"\$\.blocks\[1\]: missing key '{key}'$"):
             io.graph_from_json(doc)
 
     def test_load_allocates_no_weight_placeholders(self, tmp_path):
@@ -748,6 +748,16 @@ class TestWeightsContainer:
         path.write_bytes(header + bytes(16))
         with pytest.raises(FormatError, match="truncated"):
             io.load_weights(path)
+
+    @pytest.mark.parametrize("payloads", [True, False])
+    def test_a_zero_beside_huge_dims(self, tmp_path, payloads):
+        # 0 elements, so no payload, but numpy has no array of this shape
+        huge = 2**32 - 1
+        path = tmp_path / "w.dswt"
+        path.write_bytes(io.WEIGHTS_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"a" +
+                         struct.pack("<BB4I", 1, 4, 0, huge, huge, huge))
+        with pytest.raises(FormatError, match=rf"^a: dims \[0, {huge}, {huge}, {huge}\] "):
+            io.load_weights(path, payloads)
 
     def test_trailing_bytes(self, tmp_path, rng):
         path = tmp_path / "w.dswt"

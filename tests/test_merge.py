@@ -312,17 +312,27 @@ class TestMergeChain:
         merge_chain(irb_chain(rng, 4, 5, 6, 3, 2, biased=True), False, (1, 4, 9, 9))
         assert folded == [(24, 4, 1, 1), (24, 1, 3, 3), (5, 24, 1, 1)]
 
-    def test_depthwise_is_never_lifted_after_a_conv(self, rng, monkeypatch):
+    @pytest.mark.parametrize("make,lifted_groups", [
+        (lambda rng: irb_chain(rng, 4, 4, 6, 3, 2, biased=True), []),
+        (lambda rng: [("dw", random_conv(rng, 4, 4, 3, groups=4)),
+                      ("pw", random_conv(rng, 4, 3, 1, padding=0))], []),
+        (lambda rng: [("pool", AvgPool(2, 2)), ("bn", random_bn(rng, 4, biased=True)),
+                      ("dw", random_conv(rng, 4, 4, 3, padding=0, groups=4))], []),
+        (lambda rng: [("grouped", random_conv(rng, 4, 6, 3, groups=2)),
+                      ("dw", random_conv(rng, 6, 6, 1, padding=0, groups=6))], [2]),
+    ], ids=["irb", "dw-first", "pool-bn-dw", "grouped-then-dw"])
+    def test_only_a_general_grouped_conv_is_lifted(self, rng, monkeypatch, make,
+                                                  lifted_groups):
         lifted = []
         real_lift = merge_module.lift_to_dense
-
-        def counting_lift(layer, *args, **kwargs):
-            lifted.append(layer)
-            return real_lift(layer, *args, **kwargs)
-
-        monkeypatch.setattr(merge_module, "lift_to_dense", counting_lift)
-        merge_chain(irb_chain(rng, 4, 4, 6, 3, 2), False, (1, 4, 9, 9))
-        assert [layer.groups for layer in lifted] == [1, 1]
+        monkeypatch.setattr(merge_module, "lift_to_dense",
+                            lambda layer: lifted.append(layer) or real_lift(layer))
+        chain = make(rng)
+        x = Tensor.of(rng.standard_normal((2, 4, 9, 9)))
+        merged = merge_chain(chain, False, x.dims)
+        assert [layer.groups for layer in lifted] == lifted_groups
+        assert not any(layer.is_depthwise for layer in lifted)
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-10
 
     def test_depthwise_first_chain(self, rng):
         chain = [("dw", random_conv(rng, 4, 4, 3, groups=4)),
@@ -471,7 +481,7 @@ class TestTapComposition:
         x = Tensor.of(rng.standard_normal((2, 4, 8, 8)))
         assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-12
 
-    # each differs from the tap-by-tap shape in one place, so merges a pair at a time
+    # the first four differ from an IRB's pw1 -> dw -> pw2 in one place
     @pytest.mark.parametrize("make", [
         lambda rng: [("pw1", random_conv(rng, 4, 6, 1, stride=2, padding=0)),
                      ("dw", random_conv(rng, 6, 6, 3, groups=6)),
@@ -484,16 +494,41 @@ class TestTapComposition:
                      ("pw2", random_conv(rng, 6, 5, 3, padding=0))],
         lambda rng: [("pw1", random_conv(rng, 4, 6, 1, padding=0)),
                      ("dw", random_conv(rng, 6, 6, 3, groups=6))],
-    ], ids=["strided-pw1", "grouped-pw2", "3x3-after-dw", "no-pw2"])
-    def test_other_shapes_compose_a_pair_at_a_time(self, rng, monkeypatch, make):
+        lambda rng: [("a", random_conv(rng, 4, 5, 3, stride=2, padding=1, bias=True)),
+                     ("b", random_conv(rng, 5, 6, 3, padding=0)),
+                     ("dw", random_conv(rng, 6, 6, 2, padding=0, groups=6)),
+                     ("c", random_conv(rng, 6, 3, 1, padding=0))],
+        lambda rng: [("dw", random_conv(rng, 4, 4, 5, stride=2, groups=4)),
+                     ("pool", AvgPool(2, 1)), ("bn", random_bn(rng, 4, biased=True))],
+        lambda rng: [("a", random_conv(rng, 4, 5, (3, 1), stride=2)),
+                     ("b", random_conv(rng, 5, 3, (1, 3), padding=0))],
+    ], ids=["strided-pw1", "grouped-pw2", "3x3-after-dw", "no-pw2", "overlapping-taps",
+            "depthwise-only", "non-square"])
+    def test_every_shape_composes_tap_by_tap(self, rng, monkeypatch, make):
         calls = []
         monkeypatch.setattr(merge_module, "compose_convs",
                             lambda *args: calls.append(args) or compose_convs(*args))
         chain = make(rng)
         x = Tensor.of(rng.standard_normal((2, 4, 10, 10)))
         merged = merge_chain(chain, False, x.dims)
-        assert len(calls) == len(chain) - 1
+        assert calls == [] and merged.groups == 1
         assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-10
+
+    def test_a_strided_chain_never_holds_its_hidden_width_kernel(self):
+        # dw o pw1 of a stride-2 pw1 is a (384, 64, 5, 5) kernel; the hidden-width
+        # (384, 64, 3, 3) one is 1.77 MB, and the tap-by-tap merge peaks at about 1.1 MB
+        rng = np.random.default_rng(0)
+        chain = [("pw1", random_conv(rng, 64, 384, 1, stride=2, padding=0)),
+                 ("dw", random_conv(rng, 384, 384, 3, groups=384)),
+                 ("pw2", random_conv(rng, 384, 64, 1, padding=0))]
+        tracemalloc.start()
+        try:
+            merged = merge_chain(chain, False, (1, 64, 16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.weights.shape == (64, 64, 5, 5)
+        assert peak < 384 * 64 * 3 * 3 * 8
 
 
 class TestShrinkGraph:
