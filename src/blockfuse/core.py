@@ -4,16 +4,17 @@ Convolution is one shared forward/backward kernel pair, used by both the
 executor and autodiff. An average pool runs through it too, as the depthwise
 conv with every tap 1/k^2 that it is (`pool_conv`). The forward is one matmul
 for a plain 1x1 conv, one multiply-add per tap for a depthwise conv with at
-most 16 output positions, and im2col plus a batched matmul over cache-sized
-blocks of (sample, group) rows for every other conv, a row too large for one
-column buffer going band by band over its output rows; the backward loops over
-kernel taps, never over groups. The depthwise backward and that small
-depthwise forward run channels-last (n, h, w, c) inside and return C-contiguous
-(n, c, h, w) arrays: at the 1-16 px sizes of training, each strided op then
-loops over all channels instead of a short image row, and no caller reads a
-transposed view. The brute-force `conv_oracle` in the tests is the reference both
-are checked against. Default precision is f64; f32 exists only to emulate
-deployment error.
+most 16 output positions, kw column-shifted copies of the input and one GEMV
+per output row (MEC) for every larger depthwise conv, and im2col plus a batched
+matmul over cache-sized blocks of (sample, group) rows for every other conv, a
+row too large for one column buffer going band by band over its output rows;
+the backward loops over kernel taps, never over groups. The depthwise backward
+and that small depthwise forward run channels-last (n, h, w, c) inside and
+return C-contiguous (n, c, h, w) arrays: at the 1-16 px sizes of training, each
+strided op then loops over all channels instead of a short image row, and no
+caller reads a transposed view. The brute-force `conv_oracle` in the tests is
+the reference both are checked against. Default precision is f64; f32 exists
+only to emulate deployment error.
 
 One (slot, field) table per layer kind (`layer_arrays`) names the arrays of
 the weight table, the weight binding and the parameter count.
@@ -25,6 +26,7 @@ from enum import Enum
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 
@@ -246,9 +248,10 @@ def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
                               j : j + stride * (ow - 1) + 1 : stride]
 
 
-# Scratch bytes (padded rows plus their tap columns) per block of rows in
-# `_grouped_forward`. 1 MiB was the fastest budget tried (256 KiB to 4 MiB) over
-# MobileNetV2's depthwise shapes at n=1 and n=8.
+# Scratch bytes per block of rows: padded rows plus their tap columns in
+# `_grouped_forward`, shifted rows in `_depthwise_forward`. 1 MiB was the fastest
+# budget tried (256 KiB to 4 MiB) over MobileNetV2's depthwise shapes at n=1 and
+# n=8, when `_grouped_forward` ran them.
 _BLOCK_BYTES = 1 << 20
 
 # Largest im2col column buffer one GEMM of `_grouped_forward` reads; a row whose
@@ -261,7 +264,8 @@ _BAND_BYTES = 4 << 20
 
 
 # Largest oh * ow for which a depthwise forward runs channels-last. On all 17
-# depthwise convs of MobileNetV2-1.4 at 224 px it was 2-3x slower than im2col.
+# depthwise convs of MobileNetV2-1.4 at 224 px it was 2-3x slower than the
+# im2col kernel that ran them before `_depthwise_forward`.
 _CL_POSITIONS = 16
 
 
@@ -282,10 +286,10 @@ def _grouped_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     its kh*kw tap windows are gathered into one (m, cg_in*kh*kw, oh*ow) column buffer
     in the order of `w`, and one matmul against each row's group weights writes the
     block's output. Every row is its own product, so the result does not depend on
-    the block size. Depthwise is then one GEMV per row, and a dense conv whose
-    sample does not fit the budget one GEMM per sample. A row whose columns exceed
-    `_BAND_BYTES` (a large dense conv's sample) builds them over bands of output
-    rows that each fit it, and each band's GEMM writes its own slice of the output."""
+    the block size. A dense conv whose sample does not fit the budget is then one
+    GEMM per sample. A row whose columns exceed `_BAND_BYTES` (a large dense conv's
+    sample) builds them over bands of output rows that each fit it, and each band's
+    GEMM writes its own slice of the output."""
     n, c, h, wd = x.shape
     c_out, cg_in, kh, kw = w.shape
     rows, k, p = n * groups, cg_in * kh * kw, oh * ow
@@ -313,6 +317,42 @@ def _grouped_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     return out.reshape(n, c_out, oh, ow)
 
 
+def _depthwise_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                       oh: int, ow: int) -> np.ndarray:
+    """Depthwise cross-correlation from kw column-shifted copies of x (MEC).
+
+    x is viewed as n*c rows of one channel each, walked in blocks of `_BLOCK_BYTES`
+    of scratch. Each block is copied into one zeroed (m, h+2p, kw, ow) scratch hs
+    by kw strided copies, hs[r, p+y, j, x'] = x[r, y, s*x'+j-p] over each tap's valid
+    x' span, so borders written zero once stay zero. Output row y's (kh*kw, ow)
+    operand is then the contiguous slice of a row of hs that starts at s*y*kw*ow,
+    so one window view covers every operand, and one batched GEMV per output row
+    reads them in place. Every row is its own product, so the result does not
+    depend on the block size."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    s, p, rows, k = stride, padding, n * c, kh * kw
+    hp = h + 2 * p
+    block = max(1, min(rows, _BLOCK_BYTES // (hp * kw * ow * x.itemsize)))
+    src = x.reshape(rows, h, wd)
+    wr = w.reshape(c, 1, 1, k)
+    out = np.empty((rows, oh, 1, ow), dtype=x.dtype)
+    hs = np.zeros((block, hp, kw, ow), dtype=x.dtype)  # borders stay zero
+    view = sliding_window_view(hs.reshape(block, hp * kw * ow), k * ow, axis=1)
+    view = view[:, ::s * kw * ow].reshape(block, oh, k, ow)
+    spans = []  # tap column j fills output columns [lo, hi) from input columns a, a+s, ...
+    for j in range(kw):
+        lo, hi = max(0, -((j - p) // s)), min(ow, (wd - 1 + p - j) // s + 1)
+        if lo < hi:
+            spans.append((j, lo, hi, s * lo + j - p))
+    for r in range(0, rows, block):
+        m = min(block, rows - r)
+        for j, lo, hi, a in spans:
+            hs[:m, p:p + h, j, lo:hi] = src[r:r + m, :, a:a + s * (hi - lo - 1) + 1:s]
+        np.matmul(wr[np.arange(r, r + m) % c], view[:m], out=out[r:r + m])
+    return out.reshape(n, c, oh, ow)
+
+
 def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                  stride: int, padding: int, groups: int) -> np.ndarray:
     """Grouped cross-correlation, w: (c_out, c_in // groups, kh, kw), plus a (c_out,)
@@ -320,15 +360,20 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
     matmul. A depthwise conv with oh * ow <= 16 runs channels-last: one padded
     (n, h+2p, w+2p, c) copy of x, one broadcast multiply-add over the channels per
     tap, one transpose back (the 14 such convs of a MobileNetV2-1.0 forward at 32 px,
-    batch 16, on 2 vCPUs: 32 -> 9 ms). Every other conv is im2col plus a batched
-    matmul over cache-sized blocks of (sample, group) rows (`_grouped_forward`)."""
+    batch 16, on 2 vCPUs: 32 -> 9 ms). A larger depthwise conv reads its taps in
+    place from kw column-shifted copies of x (`_depthwise_forward`; the 17 of
+    MobileNetV2-1.4 at 224 px on 2 vCPUs: 34 -> 23 ms at n=1, 303 -> 204 ms at
+    n=8). Every other conv is im2col plus a batched matmul over cache-sized blocks
+    of (sample, group) rows (`_grouped_forward`)."""
     n, c, h, wd = x.shape
     c_out, _, kh, kw = w.shape
     oh, ow = conv_out_size(h, kh, stride, padding), conv_out_size(wd, kw, stride, padding)
     w = w.astype(x.dtype, copy=False)
     if (kh, kw, stride, padding, groups) == (1, 1, 1, 0, 1):
         out = np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, c_out, oh, ow)
-    elif groups == c == c_out and oh * ow <= _CL_POSITIONS:
+    elif groups == c == c_out and oh * ow > _CL_POSITIONS:
+        out = _depthwise_forward(x, w, stride, padding, oh, ow)
+    elif groups == c == c_out:
         xp, taps = _padded_channels_last(x, padding), _taps(kh, kw, stride, oh, ow)
         i, j, win = next(taps)  # win[1:] is the tap's (n, y, x) window of xp
         out = xp[win[1:]] * w[:, 0, i, j]

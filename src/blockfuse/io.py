@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import replace
+from io import StringIO
 from typing import Dict, List
 
 import numpy as np
@@ -222,13 +223,25 @@ def save_graph(graph: NetGraph, path) -> None:
         fh.write("\n")
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise a FormatError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_graph(path) -> NetGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return graph_from_json(doc)
+    return graph_from_json(_read_json(path))
 
 
 def save_weights(table: Dict[str, np.ndarray], path) -> None:
@@ -344,11 +357,7 @@ def save_mask(mask, path) -> None:
 
 
 def load_mask(path) -> List[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     # the type check keeps JSON true and 1.0 from passing as 1
     if not isinstance(doc, list) or any(type(v) is not int or v not in (0, 1) for v in doc):
         raise FormatError(f"{path}: mask must be a JSON array of the integers 0 and 1")
@@ -364,25 +373,24 @@ def save_latency_table(table: LatencyTable, path) -> None:
 
 
 def load_latency_table(path) -> LatencyTable:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["block_id", "latency_ms"]:
-            raise FormatError(f"{path}: expected header 'block_id,latency_ms'")
-        entries = []
-        seen = set()
-        for row in reader:
-            if not row:
-                continue
-            try:
-                block_id, latency = int(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"{path}: bad row {row!r}: {exc}") from exc
-            if not 0 < latency < math.inf:  # NaN compares False
-                raise FormatError(f"{path}: latency for block {block_id} must be finite "
-                                  f"and > 0, got {row[1]!r}")
-            if block_id in seen:
-                raise FormatError(f"{path}: block_id {block_id} has more than one row")
-            seen.add(block_id)
-            entries.append((block_id, latency))
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header != ["block_id", "latency_ms"]:
+        raise FormatError(f"{path}: expected header 'block_id,latency_ms'")
+    entries = []
+    seen = set()
+    for row in reader:
+        if not row:
+            continue
+        try:
+            block_id, latency = int(row[0]), float(row[1])
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{path}: bad row {row!r}: {exc}") from exc
+        if not 0 < latency < math.inf:  # NaN compares False
+            raise FormatError(f"{path}: latency for block {block_id} must be finite "
+                              f"and > 0, got {row[1]!r}")
+        if block_id in seen:
+            raise FormatError(f"{path}: block_id {block_id} has more than one row")
+        seen.add(block_id)
+        entries.append((block_id, latency))
     return LatencyTable(tuple(entries))

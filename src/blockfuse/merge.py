@@ -65,7 +65,11 @@ def fold_bn_into_conv(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
         raise MergeError(f"bn channels {bn.channels} != conv c_out {conv.c_out}")
     scale, shift = bn.scale_shift()
     weights = conv.weights * scale[:, None, None, None]
-    bias = shift if conv.bias is None else shift + conv.bias * scale
+    if conv.bias is None:
+        bias = shift
+    else:  # per channel: along the first axis of a (c_out, oh, ow) bias map too
+        per_channel = (-1,) + (1,) * (conv.bias.ndim - 1)
+        bias = shift.reshape(per_channel) + conv.bias * scale.reshape(per_channel)
     return replace(conv, weights=weights, bias=bias)
 
 

@@ -665,3 +665,25 @@ class TestErrorHandling:
                   "--out", str(tmp_path / "x")])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+    # each raised a UnicodeDecodeError traceback out of `run`
+    @pytest.mark.parametrize("file,command", [
+        ("graph.json", "cost"), ("mask.json", "shrink"), ("lat.csv", "search")])
+    def test_a_non_utf8_text_file_exits_1(self, tmp_path, capsys, file, command):
+        out = _gen(tmp_path)
+        io.save_mask([0, 1], tmp_path / "mask.json")
+        io.save_latency_table(io.LatencyTable(((0, 1.0), (1, 1.0))), tmp_path / "lat.csv")
+        bad = out / file if file == "graph.json" else tmp_path / file
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        argv = {"cost": ["cost", "--graph", str(out)],
+                "shrink": ["shrink", "--graph", str(out), "--mask", str(bad),
+                           "--out", str(tmp_path / "x")],
+                "search": ["search", "--graph", str(out), "--k", "1", "--epochs", "1",
+                           "--data-samples", "16", "--latency", str(bad),
+                           "--out", str(tmp_path / "x")]}[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError"
+        assert str(bad) in err["message"] and "not UTF-8" in err["message"]
+        assert not (tmp_path / "x").exists()

@@ -1,8 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockfuse import core
@@ -130,27 +131,31 @@ def _small_blocks(monkeypatch, x, layer):
     n, c, h, w = x.shape
     rows, cg_in, pad = n * layer.groups, c // layer.groups, layer.padding
     oh, ow = layer_out_dims(layer, x.shape)[2:]
-    taps = layer.kernel_h * layer.kernel_w
-    row_bytes = cg_in * ((h + 2 * pad) * (w + 2 * pad) + taps * oh * ow) * x.itemsize
+    if layer.is_depthwise:  # `_depthwise_forward`'s (h+2p, kw, ow) shifted rows
+        row_bytes = (h + 2 * pad) * layer.kernel_w * ow * x.itemsize
+    else:  # `_grouped_forward`'s padded rows plus their tap columns
+        taps = layer.kernel_h * layer.kernel_w
+        row_bytes = cg_in * ((h + 2 * pad) * (w + 2 * pad) + taps * oh * ow) * x.itemsize
     block = next(b for b in range(2, rows) if rows % b)
     monkeypatch.setattr(core, "_BLOCK_BYTES", block * row_bytes)
 
 
-def _spy_grouped_forward(monkeypatch) -> list:
-    """Record each call `conv_forward` makes to the im2col kernel."""
-    calls, real = [], core._grouped_forward
+def _spy(monkeypatch, kernel: str) -> list:
+    """Record each call `conv_forward` makes to the named forward kernel of `core`."""
+    calls, real = [], getattr(core, kernel)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(core, "_grouped_forward", spy)
+    monkeypatch.setattr(core, kernel, spy)
     return calls
 
 
 class TestDepthwiseBlocking:
-    """The blocked im2col kernel, which runs every conv but the plain 1x1 one and
-    the small depthwise ones."""
+    """The two blocked kernels: `_depthwise_forward` for the depthwise convs with
+    more than `_CL_POSITIONS` output positions, and im2col for every other conv
+    but the plain 1x1 one."""
 
     @pytest.mark.parametrize("n,c_in,c_out,k,stride,padding,groups,bias,dtype",
                              BLOCKED_CASES)
@@ -158,12 +163,13 @@ class TestDepthwiseBlocking:
                                                    k, stride, padding, groups, bias, dtype):
         # three samples at least, so a dense conv (one row per sample) has a
         # partial last block too; 9x9, so every depthwise output has more than
-        # `_CL_POSITIONS` positions and runs this kernel
+        # `_CL_POSITIONS` positions and runs `_depthwise_forward`
         x = rng.standard_normal((max(n, 3), c_in, 9, 9)).astype(dtype)
         x_before = x.copy()
         layer = random_conv(rng, c_in, c_out, k, stride=stride, padding=padding,
                             groups=groups, bias=bias)
-        calls = _spy_grouped_forward(monkeypatch)
+        calls = _spy(monkeypatch, "_depthwise_forward" if layer.is_depthwise
+                     else "_grouped_forward")
         default = conv2d(x, layer)
         assert len(calls) == 1
         _small_blocks(monkeypatch, x, layer)
@@ -265,7 +271,7 @@ DW_CASES = [
 
 class TestDepthwiseForward:
     """Both depthwise forward kernels: channels-last up to `_CL_POSITIONS` output
-    positions, `_grouped_forward` above."""
+    positions, `_depthwise_forward` above."""
 
     @staticmethod
     def _case(rng, out, k, stride, padding, n=3, c=5):
@@ -281,9 +287,11 @@ class TestDepthwiseForward:
         layer = replace(layer, bias=bias)
         x = x.astype(dtype)
         x_before = x.copy()
-        calls = _spy_grouped_forward(monkeypatch)
+        calls = _spy(monkeypatch, "_depthwise_forward")
+        im2col = _spy(monkeypatch, "_grouped_forward")
         y = conv2d(x, layer)
         assert len(calls) == (out * out > 16)  # the documented oh * ow <= 16 rule
+        assert not im2col
         assert y.shape == (x.shape[0], layer.c_out, out, out)
         assert y.dtype == dtype and y.flags.c_contiguous
         np.testing.assert_array_equal(x, x_before)
@@ -297,6 +305,38 @@ class TestDepthwiseForward:
         y = conv2d(x, layer)
         for i in range(x.shape[0]):
             np.testing.assert_array_equal(y[i:i + 1], conv2d(x[i:i + 1], layer))
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), kh=st.integers(1, 5),
+           kw=st.integers(1, 5), stride=st.integers(1, 3), padding=st.integers(0, 4),
+           n=st.integers(1, 3), c=st.integers(1, 6),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           bias=st.sampled_from([None, "vector", "map"]), block=st.integers(1, 18),
+           seed=st.integers(0, 2**16))
+    def test_shifted_rows_kernel_matches_oracle(self, h, w, kh, kw, stride, padding, n, c,
+                                                dtype, bias, block, seed):
+        # padding may reach past the kernel, so some taps read no input column
+        assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+        rng = np.random.default_rng(seed)
+        layer = random_conv(rng, c, c, (kh, kw), stride=stride, padding=padding, groups=c)
+        oh, ow = layer_out_dims(layer, (n, c, h, w))[2:]
+        b = None if bias is None else rng.standard_normal((c, oh, ow) if bias == "map" else c)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        x_before = x.copy()
+        row_bytes = (h + 2 * padding) * kw * ow * x.itemsize
+        wx = layer.weights.astype(dtype)
+        with mock.patch.object(core, "_CL_POSITIONS", 0):  # every size takes the kernel
+            y = core.conv_forward(x, wx, b, stride, padding, c)
+            with mock.patch.object(core, "_BLOCK_BYTES", block * row_bytes):
+                blocked = core.conv_forward(x, wx, b, stride, padding, c)
+        assert y.shape == (n, c, oh, ow) and y.dtype == dtype and y.flags.c_contiguous
+        assert np.array_equal(blocked, y)  # the block size does not change a bit
+        np.testing.assert_array_equal(x, x_before)
+        expected = conv_oracle(x.astype(np.float64), layer.weights, b if bias == "vector"
+                               else None, stride, padding, c)
+        if bias == "map":
+            expected += b
+        assert np.max(np.abs(y - expected)) <= CONV_TOL[dtype]
 
 
 class TestOtherLayers:

@@ -1,8 +1,10 @@
 """Fuzz the file readers: `cost` and `verify` on a toy-irb-2 directory whose
 graph.json is mutated, written as version 3 or as version 2 (whose blocks also
 store `expand_ratio`, `dw_kernel`, `stride` and `has_residual`), or whose
-weights.dswt has bytes flipped, cut off or inserted, exit 0, or exit 1 with a JSON
-error on stderr, and never end in a traceback."""
+weights.dswt has bytes flipped, cut off or inserted, and `shrink --mask` and
+`cost --latency` on a mask JSON or latency CSV with a value set or bytes flipped,
+cut off or inserted, exit 0, or exit 1 with a JSON error on stderr, and never end
+in a traceback."""
 import contextlib
 import copy
 import io
@@ -113,15 +115,13 @@ def weights_net(tmp_path_factory):
     return out, raw, _header_bytes(raw)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(data=st.data())
-def test_a_mutated_weights_file_never_ends_in_a_traceback(weights_net, data):
-    out, raw, headers = weights_net
+def _mutate_bytes(data, raw: bytes, spots=()) -> bytes:
+    """raw with bytes flipped, cut off or inserted, once or twice; half the time at
+    one of `spots` when some lie inside raw."""
     for _ in range(data.draw(st.integers(1, 2))):
         kind = data.draw(st.sampled_from(["flip", "truncate", "insert"] if raw else ["insert"]))
-        # half the time at a header byte, which decides how the rest is read
-        spots = [h for h in headers if h < len(raw)]
-        at = data.draw(st.sampled_from(spots) if spots and data.draw(st.booleans())
+        inside = [h for h in spots if h < len(raw)]
+        at = data.draw(st.sampled_from(inside) if inside and data.draw(st.booleans())
                        else st.integers(0, max(len(raw) - 1, 0)))
         if kind == "flip":
             raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
@@ -129,6 +129,54 @@ def test_a_mutated_weights_file_never_ends_in_a_traceback(weights_net, data):
             raw = raw[:at]
         else:
             raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=4)) + raw[at:]
-    (out / "weights.dswt").write_bytes(raw)
+    return raw
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_weights_file_never_ends_in_a_traceback(weights_net, data):
+    out, raw, headers = weights_net
+    # half the time at a header byte, which decides how the rest is read
+    (out / "weights.dswt").write_bytes(_mutate_bytes(data, raw, headers))
     _run(["cost", "--graph", str(out)])
     _run(["verify", "--before", str(out), "--after", str(out), "--samples", "1"])
+
+
+@pytest.fixture(scope="module")
+def text_net(tmp_path_factory):
+    """A toy-irb-2 directory (seed 0) and the directory its mask and latency
+    files go to."""
+    root = tmp_path_factory.mktemp("fuzz_text")
+    assert run(["gen-fixture", "toy-irb-2", "--seed", "0", "--out", str(root / "net")]) == 0
+    return root / "net", root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_mask_never_ends_in_a_traceback(text_net, data):
+    out, root = text_net
+    if data.draw(st.booleans()):  # set the whole mask, or one entry, to a value
+        box = [[0, 1]]
+        container, key = data.draw(st.sampled_from(_slots(box)))
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+        raw = json.dumps(box[0]).encode()
+    else:
+        raw = _mutate_bytes(data, b"[0, 1]\n")
+    (root / "mask.json").write_bytes(raw)
+    _run(["shrink", "--graph", str(out), "--mask", str(root / "mask.json"),
+          "--out", str(root / "shrunk")])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_latency_table_never_ends_in_a_traceback(text_net, data):
+    out, root = text_net
+    rows = [["block_id", "latency_ms"], ["0", "1.0"], ["1", "2.5"]]
+    if data.draw(st.booleans()):  # set one cell to a value, written as its text
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, 1))] = str(data.draw(st.sampled_from(VALUES)))
+        raw = "".join(",".join(r) + "\r\n" for r in rows).encode()
+    else:
+        raw = _mutate_bytes(data, b"block_id,latency_ms\r\n0,1.0\r\n1,2.5\r\n")
+    (root / "lat.csv").write_bytes(raw)
+    _run(["cost", "--graph", str(out), "--latency", str(root / "lat.csv")])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ class TestFolding:
         seq = execute_layer(bn, execute_layer(conv, x)).data
         fused = execute_layer(fold_bn_into_conv(conv, bn), x).data
         assert _max_err(seq, fused) <= 1e-12
+
+    # a bias map once scaled and shifted its last axis: a ValueError, or, with
+    # ow == c_out, a silently wrong bias
+    @pytest.mark.parametrize("bias_dims,width", [((5,), 6), ((5, 6, 6), 6), ((5, 6, 5), 5)],
+                             ids=["vector", "map", "map-ow-is-c_out"])
+    def test_bn_fold_scales_a_bias_per_channel(self, rng, bias_dims, width):
+        conv = replace(random_conv(rng, 3, 5, 3), bias=rng.standard_normal(bias_dims))
+        bn = random_bn(rng, 5, biased=True)
+        x = Tensor.of(rng.standard_normal((2, 3, 6, width)))
+        seq = execute_layer(bn, execute_layer(conv, x)).data
+        fused = fold_bn_into_conv(conv, bn)
+        assert fused.bias.shape == bias_dims
+        assert _max_err(seq, execute_layer(fused, x).data) <= 1e-12
+
+    def test_a_bias_map_then_bn_chain_merges(self, rng):
+        conv = replace(random_conv(rng, 4, 5, 1, padding=0),
+                       bias=rng.standard_normal((5, 6, 6)))
+        chain = [("c", conv), ("bn", random_bn(rng, 5, biased=True))]
+        merged = merge_chain(chain, False, (1, 4, 6, 6))
+        x = Tensor.of(rng.standard_normal((1, 4, 6, 6)))
+        assert _max_err(run_chain(chain, x).data, execute_layer(merged, x).data) <= 1e-10
 
     def test_bn_fold_channel_mismatch(self, rng):
         with pytest.raises(MergeError):
