@@ -79,7 +79,6 @@ def _add_training(p):
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--data", help="raw dataset file; default: synthetic toy set")
     p.add_argument("--data-samples", type=int, default=128)
-    p.add_argument("--image-size", type=int, default=8)
     p.add_argument("--out", required=True)
     _add_seed(p)
 
@@ -208,8 +207,9 @@ def _training_inputs(args, **settings):
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       seed=args.seed, **settings)
     graph = _resolve(args.graph, args.weights)
+    _, channels, size, _ = graph.input_dims
     dataset = load_dataset_raw(args.data) if args.data else \
-        synthetic_two_class(args.data_samples, 3, args.image_size, seed=args.seed)
+        synthetic_two_class(args.data_samples, channels, size, seed=args.seed)
     return cfg, graph, dataset
 
 

@@ -35,10 +35,9 @@ from .core import (
     layer_arrays,
 )
 from .errors import FormatError, GraphError
-from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, block_geometry, validate_graph
+from .graph import BlockAnnotation, LatencyTable, NetGraph, Node, validate_graph
 
-GRAPH_VERSION = 3  # 2 added conv "bias_hw"; 3 writes a block without the keys below
-_DERIVED_KEYS = (("dw_kernel", int), ("stride", int), ("has_residual", bool))
+GRAPH_VERSION = 3
 WEIGHTS_MAGIC = b"DSWT"
 WEIGHTS_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -161,14 +160,13 @@ def _node_ids(value, path: str) -> tuple:
 
 
 def graph_from_json(doc: dict) -> NetGraph:
-    """The graph of a graph.json document, validated. A v1/v2 block record also holds
-    `expand_ratio` and the `_DERIVED_KEYS`, which must equal the block's geometry."""
+    """The graph of a graph.json document, validated."""
     if not isinstance(doc, dict):
         raise FormatError("$: graph document must be a JSON object")
-    # the type check keeps JSON true and 1.0 from passing as version 1
+    # the type check keeps JSON true and 3.0 from passing as version 3
     version = doc.get("version")
-    if type(version) is not int or version not in (1, 2, GRAPH_VERSION):
-        raise FormatError(f"$.version: expected 1, 2 or {GRAPH_VERSION}, got {version!r}")
+    if type(version) is not int or version != GRAPH_VERSION:
+        raise FormatError(f"$.version: expected {GRAPH_VERSION}, got {version!r}")
     input_dims = tuple(_typed(v, int, f"$.input_dims[{i}]") for i, v in
                        enumerate(_typed(doc.get("input_dims"), list, "$.input_dims")))
     if len(input_dims) != 4 or min(input_dims) < 1:
@@ -183,7 +181,7 @@ def graph_from_json(doc: dict) -> NetGraph:
                               _node_ids(rec.get("inputs", []), f"{path}.inputs")))
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc}") from exc
-    blocks, stored = [], []
+    blocks = []
     for i, rec in enumerate(_typed(doc.get("blocks", []), list, "$.blocks")):
         path = f"$.blocks[{i}]"
         _typed(rec, dict, path)
@@ -196,24 +194,12 @@ def graph_from_json(doc: dict) -> NetGraph:
                 _node_ids(rec["node_ids"], f"{path}.node_ids"),
                 _node_ids(rec["act_node_ids"], f"{path}.act_node_ids"),
             ))
-            if version < 3:  # v1/v2 also store an expand ratio and what the nodes define
-                if type(rec["expand_ratio"]) not in (int, float):  # not a bool or a string
-                    raise FormatError(f"{path}.expand_ratio: expected a number, "
-                                      f"got {type(rec['expand_ratio']).__name__}")
-                stored.append((blocks[-1], path, [_typed(rec[key], kind, f"{path}.{key}")
-                                                  for key, kind in _DERIVED_KEYS]))
         except KeyError as exc:
             raise FormatError(f"{path}: missing key {exc}") from exc
     blocks.sort(key=lambda b: b.block_id)  # the records may come in any order
     graph = NetGraph(tuple(nodes), input_dims, tuple(blocks),
                      dict(_typed(doc.get("metadata", {}), dict, "$.metadata")))
     validate_graph(graph)
-    index = graph.node_index
-    for block, path, values in stored:
-        for (key, _), value, derived in zip(_DERIVED_KEYS, values,
-                                            block_geometry(index, block)):
-            if value != derived:
-                raise FormatError(f"{path}.{key}: {value!r} disagrees with the block's nodes")
     return graph
 
 

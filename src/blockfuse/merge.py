@@ -94,20 +94,14 @@ def lift_to_dense(layer: ConvLayer) -> ConvLayer:
 
 
 def compose_convs(first: ConvLayer, second: ConvLayer) -> ConvLayer:
-    """The bias-free conv whose kernel is conv(second) o conv(first).
-
-    `first` must be dense; `second` may be dense or depthwise. Biases are
-    ignored. The result is exact at every position unless `second` is padded
-    and `first` is wider than 1x1; then only the interior agrees."""
-    if first.groups != 1 or (second.groups != 1 and not second.is_depthwise):
-        raise MergeError("compose_convs requires a dense first conv and a dense or "
-                         "depthwise second conv; lift grouped convs first")
+    """The bias-free dense conv whose kernel is conv(second) o conv(first), for any
+    groups and kernel shapes (`_compose`). Biases are ignored. The result is exact at
+    every position unless `second` is padded and `first` is wider than 1x1; then
+    only the interior agrees."""
     if first.c_out != second.c_in:
         raise MergeError(
             f"channel mismatch: first c_out {first.c_out} != second c_in {second.c_in}"
         )
-    if first.kernel_h != first.kernel_w or second.kernel_h != second.kernel_w:
-        raise MergeError("compose_convs supports square kernels only")
     return _compose([first, second])
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from math import cos, pi
+from math import cos, inf, pi
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -41,16 +41,17 @@ class TrainConfig:
     label_smoothing: float = 0.0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.lr <= 0:
-            raise ConfigError("epochs, batch_size and lr must be positive")
-        if self.decay_strength < 0:
-            raise ConfigError("decay_strength must be >= 0")
+        # each range is written so that NaN fails it
+        if self.epochs <= 0 or self.batch_size <= 0 or not 0 < self.lr < inf:
+            raise ConfigError("epochs, batch_size and lr must be positive, and lr finite")
+        if not 0 <= self.decay_strength < inf:
+            raise ConfigError("decay_strength must be finite and >= 0")
         if self.distill not in ("off", "on"):
             raise ConfigError("distill must be 'off' or 'on'")
         if not 0.0 <= self.distill_alpha <= 1.0:
             raise ConfigError("distill_alpha must be in [0, 1]")
-        if self.distill_temperature <= 0:
-            raise ConfigError("distill_temperature must be > 0")
+        if not 0 < self.distill_temperature < inf:
+            raise ConfigError("distill_temperature must be finite and > 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must be in [0, 1)")
 
@@ -61,6 +62,8 @@ Dataset = Tuple[np.ndarray, np.ndarray]  # (images (N,c,h,w) f64, labels (N,) in
 def synthetic_two_class(n: int, channels: int, size: int, seed: int = 0) -> Dataset:
     """Linearly separable toy set: a fixed spatial template added with
     opposite signs for the two classes, plus unit Gaussian noise."""
+    if n < 1:
+        raise ConfigError(f"a synthetic dataset needs n >= 1 samples, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     template = rng.standard_normal((channels, size, size))
     template *= 2.0 / np.linalg.norm(template)
@@ -101,6 +104,8 @@ def load_dataset_raw(path) -> Dataset:
     need = 24 + n + n * c * h * w
     if len(buf) < need:
         raise FormatError(f"{path}: truncated dataset file")
+    if len(buf) > need:
+        raise FormatError(f"{path}: {len(buf) - need} trailing bytes after the pixels")
     y = np.frombuffer(buf, dtype=np.uint8, count=n, offset=24).astype(np.int64)
     x = np.frombuffer(buf, dtype=np.uint8, count=n * c * h * w, offset=24 + n)
     return x.reshape(n, c, h, w).astype(np.float64) / 255.0, y

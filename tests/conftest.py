@@ -1,9 +1,6 @@
-import copy
-
 import numpy as np
 import pytest
 
-from blockfuse import io
 from blockfuse.core import (
     Activation,
     ActivationKind,
@@ -13,7 +10,7 @@ from blockfuse.core import (
     Tensor,
     execute_layer,
 )
-from blockfuse.graph import BlockAnnotation, NetGraph, Node, block_geometry
+from blockfuse.graph import BlockAnnotation, NetGraph, Node
 
 
 def conv_oracle(x, weights, bias=None, stride=1, padding=0, groups=1):
@@ -139,23 +136,6 @@ def irb_graph(rng, c_in, c_out, expand_ratio, k, stride, residual,
         ids.append("add")
     block = BlockAnnotation(0, "inverted_residual", tuple(ids), ("act1", "act2"))
     return NetGraph(tuple(nodes), (1, c_in, image_size, image_size), (block,), {})
-
-
-def as_version_2(doc: dict) -> dict:
-    """A copy of the graph.json v3 document `doc` as graph.json v2 writes it: each
-    block record also stores the block's expand ratio (its first conv's c_out over
-    c_in), kernel, stride and skip."""
-    graph = io.graph_from_json(doc)
-    index = graph.node_index
-    out = copy.deepcopy(doc)
-    out["version"] = 2
-    for rec in out["blocks"]:
-        block = graph.blocks[rec["block_id"]]
-        first = index[block.node_ids[0]].layer
-        kernel, stride, residual = block_geometry(index, block)
-        rec.update(expand_ratio=first.c_out / first.c_in, dw_kernel=kernel, stride=stride,
-                   has_residual=residual)
-    return out
 
 
 @pytest.fixture

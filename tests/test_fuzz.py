@@ -1,10 +1,9 @@
 """Fuzz the file readers: `cost` and `verify` on a toy-irb-2 directory whose
-graph.json is mutated, written as version 3 or as version 2 (whose blocks also
-store `expand_ratio`, `dw_kernel`, `stride` and `has_residual`), or whose
-weights.dswt has bytes flipped, cut off or inserted, and `shrink --mask` and
-`cost --latency` on a mask JSON or latency CSV with a value set or bytes flipped,
-cut off or inserted, exit 0, or exit 1 with a JSON error on stderr, and never end
-in a traceback."""
+graph.json is mutated or whose weights.dswt has bytes flipped, cut off or
+inserted, `shrink --mask` and `cost --latency` on a mask JSON or latency CSV with
+a value set or bytes flipped, cut off or inserted, and `search --data` on a BFDS
+dataset with bytes flipped, cut off or inserted, exit 0, or exit 1 with a JSON
+error on stderr, and never end in a traceback."""
 import contextlib
 import copy
 import io
@@ -17,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockfuse.cli import run
-
-from conftest import as_version_2
+from blockfuse.train import save_dataset_raw, synthetic_two_class
 
 # every integer is at most 64 (as are those of toy-irb-2), so no mutation asks
 # for a large allocation
@@ -63,12 +61,10 @@ def _mutate(data, doc: dict) -> None:
 
 @pytest.fixture(scope="module")
 def net(tmp_path_factory):
-    """A toy-irb-2 directory (seed 0) and its graph.json document as versions 3
-    and 2."""
+    """A toy-irb-2 directory (seed 0) and its graph.json document."""
     out = tmp_path_factory.mktemp("fuzz") / "net"
     assert run(["gen-fixture", "toy-irb-2", "--seed", "0", "--out", str(out)]) == 0
-    doc = json.loads((out / "graph.json").read_text())
-    return out, (doc, as_version_2(doc))
+    return out, json.loads((out / "graph.json").read_text())
 
 
 def _run(argv) -> None:
@@ -83,8 +79,8 @@ def _run(argv) -> None:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_graph_never_ends_in_a_traceback(net, data):
-    out, docs = net
-    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+    out, doc = net
+    doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 2))):
         _mutate(data, doc)
     (out / "graph.json").write_text(json.dumps(doc))
@@ -180,3 +176,21 @@ def test_a_mutated_latency_table_never_ends_in_a_traceback(text_net, data):
         raw = _mutate_bytes(data, b"block_id,latency_ms\r\n0,1.0\r\n1,2.5\r\n")
     (root / "lat.csv").write_bytes(raw)
     _run(["cost", "--graph", str(out), "--latency", str(root / "lat.csv")])
+
+
+@pytest.fixture(scope="module")
+def dataset_raw(tmp_path_factory):
+    """The bytes of a BFDS file of 4 synthetic 3x8x8 samples (seed 0)."""
+    path = tmp_path_factory.mktemp("fuzz_data") / "data.bfds"
+    save_dataset_raw(synthetic_two_class(4, 3, 8, seed=0), path)
+    return path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_dataset_never_ends_in_a_traceback(text_net, dataset_raw, data):
+    out, root = text_net
+    # half the time in the 24-byte header, which decides how the rest is read
+    (root / "data.bfds").write_bytes(_mutate_bytes(data, dataset_raw, range(24)))
+    _run(["search", "--graph", str(out), "--data", str(root / "data.bfds"),
+          "--epochs", "1", "--k", "1", "--out", str(root / "searched")])

@@ -235,15 +235,25 @@ class TestCompose:
         seq = [execute_layer(second, execute_layer(first, inp)).data for inp in (x, zero)]
         assert _max_err(seq[0] - seq[1], execute_layer(merged, x).data) <= 1e-12
 
-    def test_compose_rejects_grouped(self, rng):
-        with pytest.raises(MergeError):
-            compose_convs(random_conv(rng, 4, 4, 3, groups=4),
-                          random_conv(rng, 4, 4, 1))
+    # (kernel, groups) of each conv, 4 channels: pairs beyond a dense or depthwise
+    # second conv after a dense first, which `_compose` takes as they come
+    @pytest.mark.parametrize("first,second", [
+        pytest.param((3, 4), (1, 1), id="grouped-dw3-then-pw"),
+        pytest.param((1, 1), (3, 2), id="general-grouped-second"),
+        pytest.param(((3, 1), 1), ((1, 3), 1), id="3x1-then-1x3"),
+        pytest.param((1, 2), (3, 4), id="groups2-then-dw3"),
+    ])
+    def test_compose_any_groups_and_kernel_shape(self, rng, first, second):
+        first = random_conv(rng, 4, 4, first[0], groups=first[1], bias=True)
+        second = random_conv(rng, 4, 4, second[0], groups=second[1], padding=0, bias=True)
+        merged = compose_convs(first, second)
+        x = Tensor.of(rng.standard_normal((1, 4, 9, 9)))
 
-    def test_compose_rejects_general_grouped_second(self, rng):
-        with pytest.raises(MergeError):
-            compose_convs(random_conv(rng, 3, 4, 1),
-                          random_conv(rng, 4, 4, 3, groups=2))
+        def seq(inp):
+            return execute_layer(second, execute_layer(first, inp)).data
+
+        linear = seq(x) - seq(Tensor(np.zeros_like(x.data)))
+        assert _max_err(linear, execute_layer(merged, x).data) <= 1e-12
 
     def test_compose_rejects_channel_mismatch(self, rng):
         with pytest.raises(MergeError):
