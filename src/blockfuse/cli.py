@@ -18,7 +18,7 @@ from . import io
 from .autodiff import extract_params
 from .core import ActivationKind
 from .cost import cost_report
-from .errors import BlockfuseError
+from .errors import BlockfuseError, ConfigError
 from .expand import expand_for_training
 from .fixtures import generate
 from .graph import apply_mask_vector
@@ -207,9 +207,9 @@ def _training_inputs(args, **settings):
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       seed=args.seed, **settings)
     graph = _resolve(args.graph, args.weights)
-    _, channels, size, _ = graph.input_dims
+    _, channels, h, w = graph.input_dims
     dataset = load_dataset_raw(args.data) if args.data else \
-        synthetic_two_class(args.data_samples, channels, size, seed=args.seed)
+        synthetic_two_class(args.data_samples, channels, (h, w), seed=args.seed)
     return cfg, graph, dataset
 
 
@@ -275,6 +275,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except BlockfuseError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -320,19 +320,15 @@ def validate_graph(graph: NetGraph) -> Dict[str, tuple]:
 _CHUNK_BYTES = 32 << 20
 
 
-def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] = None,
-                  tape: Optional[list] = None) -> Tensor:
+def execute_graph(graph: NetGraph, x: Tensor, tape: Optional[list] = None) -> Tensor:
     """Evaluate the graph in topological order; nodes with no inputs read the graph input.
 
-    An activation whose id is in `gates` outputs g * act(z) + (1 - g) * z; a gate of
-    exactly 1 is skipped, and a gate of exactly 0 returns its input z itself. With a
-    `tape` list, each node appends (node, inputs, output), so every value is kept;
-    without one, each value is freed after its last consumer.
+    With a `tape` list, each node appends (node, inputs, output), so every value is
+    kept; without one, each value is freed after its last consumer.
 
     Without a tape the walker also reuses buffers: a value whose last consumer is this
     node goes to `execute_layer` as a spare buffer when it appears once among the
-    node's inputs, the node is not a gated activation (which still reads z after
-    act(z)), and its memory overlaps neither `x` nor any other live value.
+    node's inputs and its memory overlaps neither `x` nor any other live value.
 
     Without a tape, a batch whose largest value would exceed `_CHUNK_BYTES` runs as
     chunks of max(1, _CHUNK_BYTES // <largest value per sample>) samples, and the
@@ -344,7 +340,6 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
         raise ShapeError(
             f"input dims {x.dims} incompatible with graph input {graph.input_dims}"
         )
-    gates = gates or {}
     order = topological_order(graph)
     sink = graph_sink(graph).node_id
     last_use = {ref: i for i, node in enumerate(order) for ref in node.input_ids}
@@ -354,14 +349,14 @@ def execute_graph(graph: NetGraph, x: Tensor, gates: Optional[Dict[str, float]] 
         per_sample = max(int(np.prod(d[1:])) for d in value_dims(order, x.dims).values())
         chunk = max(1, _CHUNK_BYTES // (per_sample * x.data.itemsize))
     if chunk >= n:
-        return _walk(order, last_use, sink, x, gates, tape)
+        return _walk(order, last_use, sink, x, tape)
     return Tensor(np.concatenate([
-        _walk(order, last_use, sink, Tensor(x.data[s:s + chunk]), gates, None).data
+        _walk(order, last_use, sink, Tensor(x.data[s:s + chunk]), None).data
         for s in range(0, n, chunk)]))
 
 
 def _walk(order: List[Node], last_use: Dict[str, int], sink: str, x: Tensor,
-          gates: Dict[str, float], tape: Optional[list]) -> Tensor:
+          tape: Optional[list]) -> Tensor:
     """One walk of `execute_graph` over all of x."""
     values: Dict[str, Tensor] = {}
 
@@ -372,16 +367,11 @@ def _walk(order: List[Node], last_use: Dict[str, int], sink: str, x: Tensor,
             for other, v in values.items())
 
     for i, node in enumerate(order):
-        g = gates.get(node.node_id, 1.0)
         refs = node.input_ids
-        reuse = tape is None and g == 1.0
-        ins = [Tensor(values[ref].data, spare=reuse and last_use[ref] == i
+        ins = [Tensor(values[ref].data, spare=tape is None and last_use[ref] == i
                       and refs.count(ref) == 1 and unshared(ref))
                for ref in refs] if refs else [x]
-        out = ins[0] if g == 0.0 else execute_layer(node.layer, *ins)
-        if g not in (0.0, 1.0):
-            out = Tensor(g * out.data + (1.0 - g) * ins[0].data)
-        values[node.node_id] = out
+        out = values[node.node_id] = execute_layer(node.layer, *ins)
         if tape is not None:
             tape.append((node, ins, out))  # keeps every value alive
         for ref in {ref for ref in refs if last_use[ref] == i}:
@@ -389,17 +379,11 @@ def _walk(order: List[Node], last_use: Dict[str, int], sink: str, x: Tensor,
     return values[sink]
 
 
-def checked_mask(graph: NetGraph, mask) -> list:
-    """`mask` as a list, after checking that it has one entry per block."""
+def merged_blocks(graph: NetGraph, mask) -> List[BlockAnnotation]:
+    """The blocks that `mask` (one 0/1 entry per block) marks 0, in id order."""
     mask = list(mask)
     if len(mask) != len(graph.blocks):
         raise GraphError(f"mask length {len(mask)} != block count {len(graph.blocks)}")
-    return mask
-
-
-def merged_blocks(graph: NetGraph, mask) -> List[BlockAnnotation]:
-    """The blocks that `mask` (one 0/1 entry per block) marks 0, in id order."""
-    mask = checked_mask(graph, mask)
     for bit in mask:
         if bit not in (0, 1):
             raise GraphError(f"mask entries must be 0/1, got {bit!r}")

@@ -44,7 +44,7 @@ from .core import (
     pool_conv,
 )
 from .cost import node_flops
-from .errors import BlockfuseError, MergeError, ShapeError
+from .errors import BlockfuseError, ConfigError, MergeError, ShapeError
 from .graph import (
     BlockAnnotation,
     NetGraph,
@@ -377,6 +377,8 @@ def verify_equivalence(g_before: NetGraph, g_after: NetGraph, n_samples: int,
         )
     if n_samples < 1:
         raise BlockfuseError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0 <= tol < np.inf:  # NaN fails this too, and JSON has no NaN or inf
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
     rng = np.random.Generator(np.random.PCG64(seed))
     max_abs = 0.0
     max_rel = 0.0

@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 from math import cos, inf, pi
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,17 +59,20 @@ class TrainConfig:
 Dataset = Tuple[np.ndarray, np.ndarray]  # (images (N,c,h,w) f64, labels (N,) int)
 
 
-def synthetic_two_class(n: int, channels: int, size: int, seed: int = 0) -> Dataset:
-    """Linearly separable toy set: a fixed spatial template added with
-    opposite signs for the two classes, plus unit Gaussian noise."""
+def synthetic_two_class(n: int, channels: int, size: Union[int, Tuple[int, int]],
+                        seed: int = 0) -> Dataset:
+    """Linearly separable toy set of `size` x `size` images, or `(h, w)` ones: a
+    fixed spatial template added with opposite signs for the two classes, plus
+    unit Gaussian noise."""
     if n < 1:
         raise ConfigError(f"a synthetic dataset needs n >= 1 samples, got {n}")
+    h, w = (size, size) if np.ndim(size) == 0 else size
     rng = np.random.Generator(np.random.PCG64(seed))
-    template = rng.standard_normal((channels, size, size))
+    template = rng.standard_normal((channels, h, w))
     template *= 2.0 / np.linalg.norm(template)
     y = np.arange(n) % 2
     signs = np.where(y == 0, -1.0, 1.0)
-    x = rng.standard_normal((n, channels, size, size)) * 0.3
+    x = rng.standard_normal((n, channels, h, w)) * 0.3
     x += signs[:, None, None, None] * template[None]
     return x, y.astype(np.int64)
 
@@ -181,7 +184,7 @@ def _logits(out: np.ndarray) -> np.ndarray:
 def accuracy(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset) -> float:
     hits = 0
     for xb, yb in _batches(dataset, 64):
-        out = forward_untaped(graph, params, None, xb)
+        out = forward_untaped(graph, params, xb)
         hits += int((np.argmax(_logits(out), axis=1) == yb).sum())
     return hits / len(dataset[0])
 
@@ -212,7 +215,7 @@ def _train(graph: NetGraph, params: Dict[str, np.ndarray], dataset: Dataset,
         logits = _logits(out)
         loss, dlogits = cross_entropy(logits, yb, cfg.label_smoothing)
         if teacher is not None:
-            t_out = forward_untaped(*teacher, None, xb)
+            t_out = forward_untaped(*teacher, xb)
             kd_loss, kd_grad = distill_divergence(
                 logits, _logits(t_out), cfg.distill_temperature)
             loss += cfg.distill_alpha * kd_loss

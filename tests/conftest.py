@@ -10,7 +10,7 @@ from blockfuse.core import (
     Tensor,
     execute_layer,
 )
-from blockfuse.graph import BlockAnnotation, NetGraph, Node
+from blockfuse.graph import BlockAnnotation, NetGraph, Node, validate_graph
 
 
 def conv_oracle(x, weights, bias=None, stride=1, padding=0, groups=1):
@@ -136,6 +136,32 @@ def irb_graph(rng, c_in, c_out, expand_ratio, k, stride, residual,
         ids.append("add")
     block = BlockAnnotation(0, "inverted_residual", tuple(ids), ("act1", "act2"))
     return NetGraph(tuple(nodes), (1, c_in, image_size, image_size), (block,), {})
+
+
+def gate_oracle(graph: NetGraph, gates) -> NetGraph:
+    """`graph` with each activation `a` (input z) of block i rewritten as the
+    relaxation gates[i] * act(z) + (1 - gates[i]) * z from plain nodes: act(z),
+    a depthwise 1x1 conv of weight g on it, one of weight 1 - g on z, and their
+    Add, which keeps the id `a`. The blocks are dropped. It runs no masking code,
+    so its derivative in `gates` checks the straight-through mask gradient."""
+    dims = validate_graph(graph)
+    gate = {aid: float(gates[b.block_id]) for b in graph.blocks for aid in b.act_node_ids}
+    nodes = []
+    for node in graph.nodes:
+        a = node.node_id
+        if a not in gate:
+            nodes.append(node)
+            continue
+        c = dims[a][1]
+
+        def scale(v):
+            return ConvLayer(1, 1, 1, 0, c, c, c, np.full((c, 1, 1, 1), v))
+
+        nodes += [Node(f"{a}_act", node.layer, node.input_ids),
+                  Node(f"{a}_on", scale(gate[a]), (f"{a}_act",)),
+                  Node(f"{a}_off", scale(1.0 - gate[a]), node.input_ids),
+                  Node(a, Add(), (f"{a}_on", f"{a}_off"))]
+    return NetGraph(tuple(nodes), graph.input_dims, (), dict(graph.metadata))
 
 
 @pytest.fixture

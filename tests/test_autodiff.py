@@ -5,9 +5,7 @@ import pytest
 
 import blockfuse.autodiff as autodiff_module
 from blockfuse.autodiff import (
-    GradTape,
     MaskState,
-    TapeEntry,
     backward,
     extract_params,
     forward_masked,
@@ -27,20 +25,11 @@ from blockfuse.core import (
 )
 from blockfuse.errors import GraphError, NumericError, ShapeError
 from blockfuse.fixtures import mobilenet_v2, toy_irb
-from blockfuse.graph import NetGraph, Node, execute_graph
+from blockfuse.graph import BlockAnnotation, NetGraph, Node, apply_mask_vector, execute_graph
 from blockfuse.io import bind_weights
 from blockfuse.merge import shrink_graph
 
-from conftest import CONV_CASES, CONV_TOL, conv_oracle, random_conv
-
-
-class FractionalMask(MaskState):
-    """Test-only mask whose gates equal the raw scores, so the gated forward
-    pass becomes differentiable in m and finite differences apply directly."""
-
-    @property
-    def m_hat(self):
-        return self.m
+from conftest import CONV_CASES, CONV_TOL, conv_oracle, gate_oracle, random_conv
 
 
 def _scalar_loss_setup(seed=0, n_blocks=2, channels=6, image=6):
@@ -106,11 +95,12 @@ class TestForwardMasked:
             for state in (MaskState.fresh(n, n), None):
                 out, tape = forward_masked(graph, extract_params(graph), state, x)
                 assert np.array_equal(out, execute_graph(graph, Tensor.of(x)).data)
-                # gates of 1 are skipped in the walk, but stay on the tape for m_grad
-                gated = {e.node.node_id: (e.slot, e.gate) for e in tape.entries
-                         if e.slot is not None}
-                assert gated == {aid: (b.block_id, 1.0) for b in graph.blocks
-                                 for aid in b.act_node_ids}
+                # every block activation ran its own kind, and the tape carries the
+                # graph that gives backward each one's mask slot
+                assert tape.graph is graph
+                ran = {node.node_id: node.layer for node, _, _ in tape.records}
+                assert all(ran[aid] == graph.node(aid).layer for b in graph.blocks
+                           for aid in b.act_node_ids)
 
     def test_untaped_forward_matches_taped(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -120,10 +110,10 @@ class TestForwardMasked:
             x = rng.standard_normal((2,) + tuple(graph.input_dims[1:]))
             x_before = x.copy()
             n = len(graph.blocks)
-            for state in (None, MaskState.fresh(n, n // 2),
-                          FractionalMask(np.full(n, 0.5), 0, np.ones(n))):
+            for state in (None, MaskState.fresh(n, n // 2)):
                 taped, _ = forward_masked(graph, params, state, x)
-                assert np.array_equal(forward_untaped(graph, params, state, x), taped)
+                masked = graph if state is None else apply_mask_vector(graph, state.m_hat)
+                assert np.array_equal(forward_untaped(masked, params, x), taped)
             np.testing.assert_array_equal(x, x_before)
 
     def test_zero_gate_bypasses_activation(self):
@@ -132,7 +122,6 @@ class TestForwardMasked:
         rng = np.random.Generator(np.random.PCG64(0))
         x = rng.standard_normal((1, 3, 8, 8))
         masked_out, _ = forward_masked(graph, params, MaskState.fresh(1, 0), x)
-        from blockfuse.graph import apply_mask_vector
         linear = apply_mask_vector(graph, [0])
         want = execute_graph(linear, Tensor.of(x)).data
         assert np.max(np.abs(masked_out - want.reshape(masked_out.shape))) <= 1e-12
@@ -151,10 +140,26 @@ class TestForwardMasked:
 
     def test_mask_length_check(self):
         graph = toy_irb(2, seed=1)
-        for forward in (forward_masked, forward_untaped):
-            with pytest.raises(GraphError):
-                forward(graph, extract_params(graph), MaskState.fresh(3, 1),
-                        np.zeros((1, 3, 8, 8)))
+        with pytest.raises(GraphError):
+            forward_masked(graph, extract_params(graph), MaskState.fresh(3, 1),
+                           np.zeros((1, 3, 8, 8)))
+
+    def test_search_step_equals_finetune_step_at_the_same_bits(self):
+        # masking in forward_masked is `apply_mask_vector`: output and parameter
+        # gradients equal those of the masked graph without a mask state, bit for bit
+        graph, params, x, lw = _scalar_loss_setup(n_blocks=4)
+        rng = np.random.Generator(np.random.PCG64(11))
+        for k in (0, 1, 2, 3, 4, 2):
+            state = MaskState(rng.standard_normal(4), k, np.ones(4))
+            out, tape = forward_masked(graph, params, state, x)
+            masked = apply_mask_vector(graph, state.m_hat)
+            want, want_tape = forward_masked(masked, params, None, x)
+            assert np.array_equal(out.view(np.uint8), want.view(np.uint8))
+            pgrads, _ = backward(tape, lw)
+            want_grads, _ = backward(want_tape, lw)
+            assert set(pgrads) == set(want_grads)
+            for name, grad in pgrads.items():
+                assert np.array_equal(grad.view(np.uint8), want_grads[name].view(np.uint8))
 
 
 # (n, c_in, c_out, k, stride, padding, groups, dtype) at the 1-4 px sizes that
@@ -231,7 +236,7 @@ class TestParameterGradients:
     def test_finite_difference_agreement(self):
         graph, params, x, lw = _scalar_loss_setup()
         _, tape = _loss(graph, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.records[-1][2].data))
         h = 1e-6
         rng = np.random.Generator(np.random.PCG64(3))
         for name, grad in pgrads.items():
@@ -255,7 +260,7 @@ class TestParameterGradients:
         shrunk, _ = shrink_graph(bind_weights(graph, params), [0, 1])
         params = extract_params(shrunk)
         _, tape = _loss(shrunk, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.records[-1][2].data))
         grad = pgrads["block0_merged.bias"]
         assert grad.shape == params["block0_merged.bias"].shape == (6, 6, 6)
         h = 1e-6
@@ -289,15 +294,15 @@ class TestParameterGradients:
         for idx in np.ndindex(grad.shape):
             p = {k: v.copy() for k, v in params.items()}
             p["conv.bias"][idx] += h
-            up = np.vdot(forward_untaped(graph, p, None, x), lw)
+            up = np.vdot(forward_untaped(graph, p, x), lw)
             p["conv.bias"][idx] -= 2 * h
-            down = np.vdot(forward_untaped(graph, p, None, x), lw)
+            down = np.vdot(forward_untaped(graph, p, x), lw)
             assert abs(grad[idx] - (up - down) / (2 * h)) <= 1e-8 * max(abs(grad[idx]), 1)
 
     def test_bn_statistics_get_no_gradients(self):
         graph, params, x, lw = _scalar_loss_setup()
         _, tape = _loss(graph, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.records[-1][2].data))
         trainable = {k for k in params if not k.endswith((".mean", ".var"))}
         assert set(pgrads) == trainable != set(params)
 
@@ -305,7 +310,7 @@ class TestParameterGradients:
                                                                           monkeypatch):
         graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
         _, tape = _loss(graph, params, None, x, lw)
-        dout = lw * np.ones_like(tape.entries[-1].output)
+        dout = lw * np.ones_like(tape.records[-1][2].data)
         real = autodiff_module.conv_backward
         asked = []
 
@@ -329,25 +334,27 @@ class TestParameterGradients:
         # the stem output feeds both the block chain and the skip Add
         graph, params, x, lw = _scalar_loss_setup(n_blocks=1)
         _, tape = _loss(graph, params, None, x, lw)
-        pgrads, _ = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        pgrads, _ = backward(tape, lw * np.ones_like(tape.records[-1][2].data))
         assert "stem_conv.weight" in pgrads
         assert np.all(np.isfinite(pgrads["stem_conv.weight"]))
 
 
-def _tape(graph, x, gates):
-    """The tape `forward_masked` records for `graph` at `gates`, with every gated
-    node in mask slot 0."""
-    records: list = []
-    execute_graph(graph, Tensor.of(x), gates, records)
-    return GradTape(graph, [TapeEntry(node, [t.data for t in ins], y.data,
-                                      0 if node.node_id in gates else None,
-                                      gates.get(node.node_id))
-                            for node, ins, y in records], 1)
+def _tape(graph, x, bit=None):
+    """The tape `forward_masked` records for `graph`, with its weights as they
+    are, under the one-block mask [bit] (no mask state when `bit` is None)."""
+    state = None if bit is None else MaskState.fresh(1, int(bit))
+    return forward_masked(graph, extract_params(graph), state, x)[1]
 
 
-def _lone_activation(kind):
-    """A graph of one activation, which reads the graph input as its z."""
-    return NetGraph((Node("act", Activation(kind), ()),), (1, 4, 5, 5))
+def _act_block(kind, second=ActivationKind.IDENTITY, head=()):
+    """Block 0 as the pair of activations a block masks: "act" of `kind`, which
+    reads the last `head` node (the graph input without one), then "act2" of
+    `second`. An identity second passes act's gradient through and adds exactly
+    0.0 to the mask gradient."""
+    nodes = tuple(head) + (Node("act", Activation(kind), (head[-1].node_id,) if head else ()),
+                           Node("act2", Activation(second), ("act",)))
+    block = BlockAnnotation(0, "plain_conv", tuple(n.node_id for n in nodes), ("act", "act2"))
+    return NetGraph(nodes, (1, 4, 5, 5), (block,))
 
 
 def _planted_z(rng):
@@ -358,28 +365,23 @@ def _planted_z(rng):
 
 
 class TestActivationAndBnBackward:
-    @pytest.mark.parametrize("gate", [0.0, 1.0, 0.5, None])
+    @pytest.mark.parametrize("gate", [0.0, 1.0, None])
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_activation_input_gradient_is_the_gated_formula(self, rng, kind, gate):
-        # z = bias map exactly (zero weights), with planted values on both kinks
+        # `gate` is the block's mask bit (None: no mask state); z = bias map exactly
+        # (zero weights), with planted values on both kinks
         z = rng.uniform(-3, 9, (4, 5, 5))
         z[0, 0, :3] = [0.0, 6.0, -0.0]
         conv = ConvLayer(1, 1, 1, 0, 1, 4, 4, np.zeros((4, 4, 1, 1)), z)
-        graph = NetGraph((Node("conv", conv, ()), Node("act", Activation(kind), ("conv",))),
-                         (1, 4, 5, 5))
-        tape = _tape(graph, rng.standard_normal((1, 4, 5, 5)),
-                     {} if gate is None else {"act": gate})
+        graph = _act_block(kind, head=(Node("conv", conv, ()),))
+        tape = _tape(graph, rng.standard_normal((1, 4, 5, 5)), gate)
         dout = rng.standard_normal((1, 4, 5, 5))
         pgrads, _ = backward(tape, dout)
         dz = pgrads["conv.bias"]  # dout.sum(axis=0) of the conv, at n = 1 exact
         dact = {ActivationKind.RELU: z > 0, ActivationKind.RELU6: (z > 0) & (z < 6),
                 ActivationKind.IDENTITY: np.ones_like(z)}[kind].astype(np.float64)
         g = 1.0 if gate is None else gate
-        want = dout[0] * (g * dact + (1 - g))
-        if g in (0.0, 1.0):
-            assert np.array_equal(dz, want)
-        else:
-            assert np.max(np.abs(dz - want)) <= 1e-15
+        assert np.array_equal(dz, dout[0] * (g * dact + (1 - g)))
 
     def test_bn_gamma_gradient_matches_the_normalized_input_formula(self, rng):
         c = 6
@@ -391,7 +393,7 @@ class TestActivationAndBnBackward:
         offset = rng.uniform(3, 5, c)[None, :, None, None] * rng.choice([-1, 1], c)[
             None, :, None, None]
         x = mean[None, :, None, None] + std * (offset + rng.standard_normal((4, c, 3, 3)))
-        tape = _tape(NetGraph((Node("bn", bn, ()),), x.shape), x, {})
+        tape = _tape(NetGraph((Node("bn", bn, ()),), x.shape), x)
         dout = rng.standard_normal(x.shape)
         pgrads, _ = backward(tape, dout)
         inv_std = 1.0 / np.sqrt(var + bn.epsilon)
@@ -402,60 +404,67 @@ class TestActivationAndBnBackward:
 
 
 class TestMaskGradients:
-    def test_mask_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("k,bits", [(2, [1, 0, 1]), (0, [0, 0, 0]), (3, [1, 1, 1])],
+                             ids=["101", "000", "111"])
+    def test_mask_gradient_matches_finite_differences(self, k, bits):
+        # straight through: the gradient reported at the binary mask is the
+        # derivative, at the same bits, of the relaxation g * act(z) + (1 - g) * z
+        # that `gate_oracle` builds from plain nodes
         graph, params, x, lw = _scalar_loss_setup(n_blocks=3)
-        state = FractionalMask(np.array([0.8, 0.4, 0.6]), 3, np.ones(3))
-        _, tape = _loss(graph, params, state, x, lw)
-        _, m_grad = backward(tape, lw * np.ones_like(tape.entries[-1].output))
+        state = MaskState(np.array([0.8, 0.4, 0.6]), k, np.ones(3))
+        assert state.m_hat.tolist() == bits
+        loss, tape = _loss(graph, params, state, x, lw)
+        _, m_grad = backward(tape, lw * np.ones_like(tape.records[-1][2].data))
+        bound = bind_weights(graph, params)
+
+        def relaxed(gates):
+            return float(np.sum(execute_graph(gate_oracle(bound, gates), Tensor.of(x)).data * lw))
+
+        assert relaxed(state.m_hat) == pytest.approx(loss, rel=1e-12, abs=0)
         h = 1e-6
         for b in range(3):
-            m = state.m.copy()
+            m = state.m_hat.copy()
             m[b] += h
-            up, _ = _loss(graph, params, FractionalMask(m, 3, np.ones(3)), x, lw)
+            up = relaxed(m)
             m[b] -= 2 * h
-            down, _ = _loss(graph, params, FractionalMask(m, 3, np.ones(3)), x, lw)
+            down = relaxed(m)
             fd = (up - down) / (2 * h)
             assert abs(m_grad[b] - fd) <= 1e-5 * max(abs(fd), 1e-4)
 
-    def test_straight_through_identity(self):
-        # the gradient reported for the binary mask equals the gradient of a
-        # continuous gate evaluated at the same (binary) gate values, exactly
-        graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
-        binary = MaskState(np.array([2.0, 1.0]), 1, np.ones(2))
-        _, tape_b = _loss(graph, params, binary, x, lw)
-        _, grad_binary = backward(tape_b, lw * np.ones_like(tape_b.entries[-1].output))
-        frac = FractionalMask(binary.m_hat.copy(), 1, np.ones(2))
-        _, tape_f = _loss(graph, params, frac, x, lw)
-        _, grad_frac = backward(tape_f, lw * np.ones_like(tape_f.entries[-1].output))
-        np.testing.assert_array_equal(grad_binary, grad_frac)
-
-    def test_shared_slot_accumulates_both_activations(self):
-        # both activations of one block write into a single mask slot
-        graph, params, x, lw = _scalar_loss_setup(n_blocks=1)
-        state = FractionalMask(np.array([0.5]), 1, np.ones(1))
-        _, tape = _loss(graph, params, state, x, lw)
-        gated = [e for e in tape.entries if e.slot is not None]
-        assert len(gated) == 2
-        assert {e.slot for e in gated} == {0}
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_shared_slot_accumulates_both_activations(self, rng, kind):
+        # both activations of one block write into its single mask slot, the
+        # later one first, bit for bit
+        z = _planted_z(rng)
+        tape = _tape(_act_block(kind, kind), z, 1)
+        dout = rng.standard_normal(z.shape)
+        _, m_grad = backward(tape, dout)
+        z2 = kind.apply(z.copy())
+        dact2 = {ActivationKind.RELU: z2 > 0, ActivationKind.RELU6: (z2 > 0) & (z2 < 6)}
+        dz = dout * dact2[kind] if kind in dact2 else dout
+        want = 0.0 + float(np.vdot(dout, kind.apply(z2.copy())) - np.vdot(dout, z2))
+        want += float(np.vdot(dz, z2) - np.vdot(dz, z))
+        assert m_grad.tolist() == [want]
 
     @pytest.mark.parametrize("gate", [0.0, 1.0])
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_binary_gate_mask_gradient_is_read_from_the_tape(self, rng, kind, gate):
         # bit for bit the formula on the tape's own z, whether act(z) is the
-        # walker's output (gate 1) or computed in the backward (gate 0)
-        tape = _tape(_lone_activation(kind), _planted_z(rng), {"act": gate})
+        # walker's output (bit 1) or computed in the backward (bit 0, Identity ran)
+        tape = _tape(_act_block(kind), _planted_z(rng), gate)
         dout = rng.standard_normal((1, 4, 5, 5))
         _, m_grad = backward(tape, dout)
-        z = tape.entries[0].inputs[0]
-        assert m_grad[0] == float(np.vdot(dout, kind.apply(z)) - np.vdot(dout, z))
+        node, (z,), _ = tape.records[0]
+        assert node.layer.kind is (kind if gate else ActivationKind.IDENTITY)
+        assert m_grad[0] == float(np.vdot(dout, kind.apply(z.data)) - np.vdot(dout, z.data))
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_zero_gate_outputs_its_input(self, rng, kind):
-        # bit for bit: under ReLU the blend 0 * act(z) + 1 * z turns the planted
-        # -0.0 into +0.0
-        (entry,) = _tape(_lone_activation(kind), _planted_z(rng), {"act": 0.0}).entries
-        assert np.signbit(entry.inputs[0]).any()
-        assert np.array_equal(entry.output.view(np.uint64), entry.inputs[0].view(np.uint64))
+        # bit for bit, the planted -0.0 included: a 0 bit runs Identity, which
+        # returns z itself, where the blend 0 * act(z) + 1 * z would give +0.0
+        _, (z,), out = _tape(_act_block(kind), _planted_z(rng), 0).records[0]
+        assert np.signbit(z.data).any()
+        assert np.array_equal(out.data.view(np.uint64), z.data.view(np.uint64))
 
     def test_backward_leaves_the_tape_reusable(self):
         # one block gated 0 and one gated 1: a second backward on the same tape
@@ -463,7 +472,7 @@ class TestMaskGradients:
         graph, params, x, lw = _scalar_loss_setup(n_blocks=2)
         state = MaskState(np.array([2.0, 1.0]), 1, np.ones(2))
         _, tape = _loss(graph, params, state, x, lw)
-        dout = lw * np.ones_like(tape.entries[-1].output)
+        dout = lw * np.ones_like(tape.records[-1][2].data)
         first, second = backward(tape, dout), backward(tape, dout)
         assert set(first[0]) == set(second[0])
         for name, grad in first[0].items():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,16 +265,25 @@ class TestShrinkVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "equivalence check failed"
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_verify_without_samples_exits_1(self, tmp_path, capsys, samples):
+    @pytest.mark.parametrize("flags,error,where", [
+        (["--samples", "0"], "BlockfuseError", "n_samples"),
+        (["--samples", "-3"], "BlockfuseError", "n_samples"),
+        # a NaN tol failed even at zero error and wrote `"tol": NaN`, which is not JSON
+        (["--tol", "nan"], "ConfigError", "tol"),
+        (["--tol", "inf"], "ConfigError", "tol"),
+        (["--tol", "-1"], "ConfigError", "tol"),
+    ], ids=["0", "-3", "tol-nan", "tol-inf", "tol--1"])
+    def test_verify_without_samples_exits_1(self, tmp_path, capsys, flags, error, where):
         a = _gen(tmp_path, seed=0)
         b = tmp_path / "other"
         assert run(["gen-fixture", "toy-irb-2", "--out", str(b), "--seed", "9"]) == 0
         capsys.readouterr()
-        assert run(["verify", "--before", str(a), "--after", str(b),
-                    "--samples", samples, "--tol", "1e-10"]) == 1
+        out = tmp_path / "v.json"
+        assert run(["verify", "--before", str(a), "--after", str(b), "--tol", "1e-10",
+                    "--out", str(out), *flags]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "BlockfuseError" and "n_samples" in err["message"]
+        assert err["error"] == error and where in err["message"]
+        assert not out.exists()
 
     def test_graph_without_weights_runs_cost_and_verify(self, tmp_path):
         out = _gen(tmp_path)
@@ -355,14 +365,17 @@ class TestSearchFinetune:
         assert run(["verify", "--before", str(res), "--after", str(shrunk),
                     "--tol", "1e-10"]) == 0
 
-    @pytest.mark.parametrize("source", ["vgg-toy-expanded", "irb-4-channels"])
+    @pytest.mark.parametrize("source", ["vgg-toy-expanded", "irb-4-channels",
+                                        "irb-non-square"])
     def test_synthetic_data_takes_its_shape_from_the_graph(self, tmp_path, rng, source):
         net = tmp_path / "in"
         if source == "vgg-toy-expanded":  # 16 px
             assert run(["expand", "--graph", str(_gen(tmp_path, name="vgg-toy")),
                         "--out", str(net)]) == 0
-        else:  # 4 x 6 x 6
+        else:  # 4 x 6 x 6, or 4 x 6 x 7
             graph = irb_graph(rng, 4, 4, 2, 3, 1, True, image_size=6)
+            if source == "irb-non-square":
+                graph = replace(graph, input_dims=(1, 4, 6, 7))
             net.mkdir()
             io.save_graph(graph, net / "graph.json")
             io.save_weights(io.weights_of_graph(graph), net / "weights.dswt")
@@ -505,17 +518,27 @@ class TestErrorHandling:
         ("finetune", ["--distill", "--distill-temperature", "nan"], "distill_temperature"),
         ("search", ["--data-samples", "-1"], "n >= 1"),
         ("finetune", ["--data-samples", "0"], "n >= 1"),
+        *((command, ["--seed", "-1"], "--seed") for command in
+          ("gen-fixture", "search", "finetune", "verify", "expand")),
     ], ids=["epochs-0", "batch-size-0", "lr-negative", "decay-negative", "alpha-2",
             "lr-nan", "lr-inf", "decay-nan", "decay-inf", "temperature-nan",
-            "samples-negative", "samples-0"])
+            "samples-negative", "samples-0", "gen-fixture-seed-negative",
+            "search-seed-negative", "finetune-seed-negative", "verify-seed-negative",
+            "expand-seed-negative"])
     def test_training_settings_out_of_range_exit_1(self, tmp_path, capsys, command,
                                                     flags, where):
         out = _gen(tmp_path)
         mask = tmp_path / "mask.json"
         io.save_mask([0, 1], mask)
         res = tmp_path / "res"
-        argv = [command, "--graph", str(out), "--out", str(res), *flags,
-                *(["--k", "1"] if command == "search" else ["--mask", str(mask)])]
+        argv = {
+            "gen-fixture": ["gen-fixture", "toy-irb-2", "--out", str(res)],
+            "search": ["search", "--graph", str(out), "--out", str(res), "--k", "1"],
+            "finetune": ["finetune", "--graph", str(out), "--out", str(res),
+                         "--mask", str(mask)],
+            "verify": ["verify", "--before", str(out), "--after", str(out), "--out", str(res)],
+            "expand": ["expand", "--graph", str(out), "--out", str(res)],
+        }[command] + flags
         capsys.readouterr()
         assert run(argv) == 1
         err = json.loads(capsys.readouterr().err)

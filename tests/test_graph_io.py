@@ -341,10 +341,10 @@ class TestExecuteAndMask:
             apply_mask_vector(g, [0, 2])
 
 
-def _untaped_and_taped(g, x, gates=None):
+def _untaped_and_taped(g, x):
     """Outputs of the walk that reuses buffers and of the taped walk, which
     never writes in place."""
-    return execute_graph(g, x, gates).data, execute_graph(g, x, gates, tape=[]).data
+    return execute_graph(g, x).data, execute_graph(g, x, tape=[]).data
 
 
 def _aliasing_graph(rng, c=3):
@@ -387,6 +387,9 @@ class TestBufferOwnership:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda rng: toy_irb(2, seed=1), id="toy-irb"),
         pytest.param(lambda rng: mobilenet_v2(1.0, image_size=32, seed=1), id="mbv2-32px"),
+        pytest.param(lambda rng: apply_mask_vector(mobilenet_v2(1.0, image_size=32, seed=1),
+                                                   [i % 2 for i in range(17)]),
+                     id="mbv2-32px-masked"),
         pytest.param(_aliasing_graph, id="view-of-a-live-value"),
         pytest.param(_bn_feeds_add_graph, id="bn-input-feeds-add"),
         pytest.param(_input_view_graph, id="views-of-the-input"),
@@ -457,22 +460,14 @@ class TestBufferOwnership:
         assert seen == [("ConvLayer", [False]), ("BatchNormLayer", [True]),
                         ("Activation", [True])] * 2
 
-    def test_half_gates_equal_taped_result(self, rng):
-        g = mobilenet_v2(1.0, image_size=32, seed=1)
-        gates = {aid: 0.5 for b in g.blocks for aid in b.act_node_ids}
-        x = Tensor.of(rng.standard_normal((2,) + tuple(g.input_dims[1:])))
-        untaped, taped = _untaped_and_taped(g, x, gates)
-        assert np.array_equal(untaped, taped)
-        assert not np.array_equal(untaped, execute_graph(g, x).data)
-
 
 def _spy_walks(monkeypatch) -> list:
     """Record the sample count of each walk `execute_graph` makes."""
     sizes, real = [], graph_module._walk
 
-    def spy(order, last_use, sink, x, gates, tape):
+    def spy(order, last_use, sink, x, tape):
         sizes.append(x.dims[0])
-        return real(order, last_use, sink, x, gates, tape)
+        return real(order, last_use, sink, x, tape)
 
     monkeypatch.setattr(graph_module, "_walk", spy)
     return sizes
@@ -512,15 +507,6 @@ class TestWalkerChunks:
         chunked = execute_graph(g, x).data
         assert walks == [1] * 5
         np.testing.assert_array_equal(chunked, np.concatenate(single))
-
-    def test_fractional_gates_in_chunks(self, rng, monkeypatch):
-        g, x = self._net_and_input(rng)
-        gates = {aid: 0.5 for b in g.blocks for aid in b.act_node_ids}
-        whole = execute_graph(g, x, gates).data
-        _chunk_of(monkeypatch, g, 2)
-        chunked = execute_graph(g, x, gates).data
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
-        assert not np.allclose(chunked, execute_graph(g, x).data)
 
     def test_taped_walk_and_one_sample_are_one_walk(self, rng, monkeypatch):
         g, x = self._net_and_input(rng)

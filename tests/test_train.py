@@ -51,6 +51,9 @@ class TestData:
         a = synthetic_two_class(16, 3, 8, seed=5)
         b = synthetic_two_class(16, 3, 8, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        square = synthetic_two_class(16, 3, (8, 8), seed=5)  # the same draws as size 8
+        assert np.array_equal(a[0], square[0]) and np.array_equal(a[1], square[1])
+        assert synthetic_two_class(4, 3, (8, 9))[0].shape == (4, 3, 8, 9)
 
     def test_raw_round_trip(self, tmp_path):
         x = np.linspace(0, 1, 2 * 3 * 4 * 4).reshape(2, 3, 4, 4)

@@ -15,10 +15,11 @@ shrink under [1,0,1,1,0], which merges the two nested blocks, and under
 of toy-irb-3 under [0,1,0] with free activations; a distilled finetune of
 toy-irb-3 under that mask with free activations, then its shrink and verify; a
 search of toy-irb-3 for k=1 with a latency table and L1 decay, so the score update
-runs; a search of toy-irb-3 for k=0, where every block activation is gated 0. Each
-command runs in its own interpreter with `--src` first on PYTHONPATH (default:
-this checkout's src). Outputs go to a temporary directory that is removed
-afterwards, or to `--out`, which is kept.
+runs; searches of toy-irb-3 for k=0 and k=3, whose masks are all 0 (every block
+activation runs as Identity) and all 1 (none does). Each command runs in its own
+interpreter with `--src` first on PYTHONPATH (default: this checkout's src).
+Outputs go to a temporary directory that is removed afterwards, or to `--out`,
+which is kept.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ PIPELINE = [
     ["search", "--graph", "toy", "--k", "1", "--latency", "latency.csv", "--decay", "0.01",
      *TRAIN, "--out", "search"],
     ["search", "--graph", "toy", "--k", "0", *TRAIN, "--out", "search_k0"],
+    ["search", "--graph", "toy", "--k", "3", *TRAIN, "--out", "search_k3"],
 ]
 
 
